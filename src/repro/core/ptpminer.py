@@ -379,7 +379,7 @@ class PTPMiner:
         mining_db, encoded, pairs = self._prepare(
             db, weights, threshold, counters
         )
-        plan_out: list[RootCandidates] = []
+        gathered: list[RootCandidates] = []
         with obs_trace.span("plan_root"):
             self._search(
                 encoded,
@@ -387,9 +387,9 @@ class PTPMiner:
                 [float(threshold)],
                 pairs,
                 counters,
-                root_plan_out=plan_out,
+                root_gather_out=gathered,
             )
-        return mining_db, counters, plan_out[0] if plan_out else {}
+        return mining_db, counters, gathered[0] if gathered else {}
 
     def search_shard(
         self,
@@ -406,11 +406,17 @@ class PTPMiner:
 
         ``mining_db`` must be the (already point-pruned) database
         returned by :meth:`plan_root` and ``candidates`` a subset of its
-        root candidate map. Re-encodes locally (cheap, and avoids
-        shipping encoded structures across process boundaries), skips
-        point pruning and root-node accounting — both already accounted
-        by the parent — and returns this shard's unsorted patterns plus
-        its share of the counters.
+        root candidate map. Re-encodes and rebuilds the pair tables
+        locally, skips point pruning and root-node accounting — both
+        already accounted by the parent — and returns this shard's
+        unsorted patterns plus its share of the counters.
+
+        The local re-encode is not cheap: every worker repeats encoding
+        and pair tables, which with loading take about a fifth of a
+        serial mine of scalebench's sparse-wide on a 2-vCPU box. That is
+        why ``mine_sharded(workers=2)`` is no faster than :meth:`mine`
+        there (see ``scalebench/README.md``). Building the prepared
+        state once and handing it to workers is ROADMAP item 2.
 
         ``on_root`` is the live-telemetry hook
         (:mod:`repro.obs.live`): when given, it is invoked after each
@@ -687,14 +693,14 @@ class PTPMiner:
         on_emit: Optional[Callable[[TemporalPattern, float], None]] = None,
         *,
         root_candidates: Optional[RootCandidates] = None,
-        root_plan_out: Optional[list[RootCandidates]] = None,
+        root_gather_out: Optional[list[RootCandidates]] = None,
     ) -> list[PatternWithSupport]:
         """Run the depth-first search; see the class docstring.
 
         The two keyword hooks exist for :mod:`repro.engine`'s level-1
         sharding and leave the serial path untouched:
 
-        * ``root_plan_out`` — gather the root candidates (with full
+        * ``root_gather_out`` — gather the root candidates (with full
           root-node accounting: node expansion, postfix branch bound,
           candidate counters), append them to the list, and return
           without descending. The parent process runs this once.
@@ -1124,8 +1130,8 @@ class PTPMiner:
                     # node at depth d feeds row d+1 — the same row its
                     # frequent survivors and emitted patterns land in.
                     cost.record_node(num_tokens + 1, len(candidates))
-            if at_root and root_plan_out is not None:
-                root_plan_out.append(candidates)
+            if at_root and root_gather_out is not None:
+                root_gather_out.append(candidates)
                 return
             proj_map = dict(proj)
             for cand in sorted(candidates):

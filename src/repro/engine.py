@@ -67,7 +67,6 @@ costs one ``None`` check per run.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import queue as _queue
 from collections.abc import Callable
@@ -77,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
 from repro import contracts
-from repro.core.config import SHARD_STRATEGIES, MinerConfig
+from repro.core.config import MinerConfig
 from repro.core.pruning import PruneCounters
 from repro.core.ptpminer import (
     MiningResult,
@@ -94,11 +93,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 from repro.obs import trace as obs_trace
-from repro.temporal.endpoint import token_name
 
 __all__ = [
     "EXECUTORS",
-    "SHARD_STRATEGIES",
     "ShardResult",
     "ShardTask",
     "ShardedMiner",
@@ -157,91 +154,30 @@ class ShardResult:
     provenance: dict[str, Any] = field(default_factory=dict)
 
 
-def _candidate_name(
-    cand: tuple[int, int, int], labels: Sequence[str]
-) -> str:
-    """The display name of a root candidate, e.g. ``"A+"``, ``"B#2-"``.
-
-    Matches the names the cost model records per root and the planner
-    forecasts against (``sym = label_id * 3 + kind``); uses the shared
-    :func:`~repro.temporal.endpoint.token_name` formatter rather than
-    constructing endpoints outside the encoder.
-    """
-    _ext, sym, pocc = cand
-    return token_name(labels[sym // 3], pocc, sym % 3)
-
-
 def plan_shards(
     root: RootCandidates,
     config: MinerConfig,
     threshold: float,
     num_shards: int,
-    *,
-    strategy: str = "roundrobin",
-    costs: Optional[dict[str, float]] = None,
-    labels: Optional[Sequence[str]] = None,
 ) -> list[ShardTask]:
     """Partition the root candidates into at most ``num_shards`` tasks.
 
-    With the default ``"roundrobin"`` strategy, candidates are dealt in
-    canonical (sorted) order, which spreads the heavy low-index prefixes
-    across shards. With ``"predicted"``, candidates are placed
-    heaviest-first onto the least-loaded shard (LPT) using the per-root
-    forecasts in ``costs`` (root name -> predicted cost, as produced by
-    :mod:`repro.obs.planner`); ``labels`` (the database's sorted
-    alphabet) is then required to map candidates to their names. Roots
-    missing from ``costs`` — or every root, when no plan is supplied —
-    fall back to ``support * supporter_count``, a zero-cost static proxy
-    computable from the candidate map alone.
-
-    Either way, empty shards are never produced; with fewer candidates
-    than shards you get fewer tasks. The partition has no effect on the
-    merged result — only on load balance (see the module docstring's
-    determinism guarantee).
+    Candidates are dealt round-robin in canonical (sorted) order, which
+    spreads the heavy low-index prefixes across shards. Empty shards are
+    never produced; with fewer candidates than shards you get fewer
+    tasks. The partition has no effect on the merged result — only on
+    load balance (see the module docstring's determinism guarantee).
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {SHARD_STRATEGIES}, got {strategy!r}"
-        )
     ordered = sorted(root)
     count = min(num_shards, len(ordered))
     if count == 0:
         return []
     buckets: list[list[_TaskCandidate]] = [[] for _ in range(count)]
-    if strategy == "roundrobin":
-        for index, cand in enumerate(ordered):
-            weight, sids = root[cand]
-            buckets[index % count].append((cand, (weight, tuple(sids))))
-    else:
-        if labels is None:
-            raise ValueError(
-                "strategy='predicted' needs labels to name root candidates"
-            )
-        forecasts = costs or {}
-
-        def cost_of(cand: tuple[int, int, int]) -> float:
-            weight, sids = root[cand]
-            forecast = forecasts.get(_candidate_name(cand, labels))
-            if forecast is not None:
-                return max(float(forecast), 0.0)
-            return float(weight) * len(sids)
-
-        heap = [(0.0, shard) for shard in range(count)]
-        heapq.heapify(heap)
-        # LPT: heaviest candidate first, onto the least-loaded shard;
-        # ties break on the candidate tuple so the deal is deterministic.
-        for cand in sorted(ordered, key=lambda c: (-cost_of(c), c)):
-            load, shard = heapq.heappop(heap)
-            weight, sids = root[cand]
-            buckets[shard].append((cand, (weight, tuple(sids))))
-            heapq.heappush(heap, (load + cost_of(cand), shard))
-        for bucket in buckets:
-            bucket.sort()
-        # All-zero forecasts can pile everything on shard 0; drop the
-        # resulting empty buckets to keep the no-empty-shards invariant.
-        buckets = [bucket for bucket in buckets if bucket]
+    for index, cand in enumerate(ordered):
+        weight, sids = root[cand]
+        buckets[index % count].append((cand, (weight, tuple(sids))))
     return [
         ShardTask(
             shard=shard,
@@ -503,8 +439,6 @@ def mine_sharded(
     live: Union[
         None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"
     ] = None,
-    shard_strategy: str = "roundrobin",
-    plan: Optional[dict[str, Any]] = None,
 ) -> MiningResult:
     """Mine ``db`` with the sharded engine.
 
@@ -516,26 +450,12 @@ def mine_sharded(
     during the run (see the module docstring); the determinism guarantee
     is unaffected — live mode only changes *when* progress is visible,
     never what is mined.
-
-    ``shard_strategy`` picks the deal (:data:`SHARD_STRATEGIES`):
-    ``"predicted"`` places root candidates by forecast cost (LPT),
-    reading per-root forecasts from ``plan`` — a
-    :func:`repro.obs.planner.build_plan` PlanReport — when one is
-    supplied, else from the static ``support * supporters`` fallback.
-    Because the merge is order-independent, any strategy (with or
-    without a plan, with an arbitrarily wrong plan) yields a bit-for-bit
-    identical result; the strategy only moves wall time between shards.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if executor not in EXECUTORS:
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if shard_strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-            f"got {shard_strategy!r}"
         )
     resolved = (
         ("serial" if workers == 1 else "process")
@@ -560,27 +480,7 @@ def mine_sharded(
         executor=resolved,
     ):
         mining_db, counters, root = miner.plan_root(db, weights, threshold)
-        plan_costs: Optional[dict[str, float]] = None
-        plan_labels: Optional[tuple[str, ...]] = None
-        if shard_strategy == "predicted":
-            if plan is not None:
-                plan_costs = {
-                    str(name): float(entry.get("predicted_cost", 0.0))
-                    for name, entry in dict(plan.get("roots", {})).items()
-                    if isinstance(entry, dict)
-                }
-            # Same sorted alphabet the encoder interns, so candidate
-            # names line up with the plan's root names.
-            plan_labels = tuple(sorted(mining_db.alphabet))
-        tasks = plan_shards(
-            root,
-            config,
-            threshold,
-            workers,
-            strategy=shard_strategy,
-            costs=plan_costs,
-            labels=plan_labels,
-        )
+        tasks = plan_shards(root, config, threshold, workers)
         aggregator: Optional[obs_live.LiveAggregator] = None
         on_frame: Optional[Callable[[dict[str, Any]], None]] = None
         if collector is not None:
@@ -703,7 +603,6 @@ def mine_sharded(
             "workers": workers,
             "executor": resolved,
             "shards": len(tasks),
-            "shard_strategy": shard_strategy,
         },
     )
 
@@ -756,8 +655,6 @@ class ShardedMiner:
         live: Union[
             None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"
         ] = None,
-        shard_strategy: str = "roundrobin",
-        plan: Optional[dict[str, Any]] = None,
         config: Optional[MinerConfig] = None,
         **kwargs: Any,
     ) -> None:
@@ -776,16 +673,9 @@ class ShardedMiner:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-                f"got {shard_strategy!r}"
-            )
         self.workers = workers
         self.executor = executor
         self.live = live
-        self.shard_strategy = shard_strategy
-        self.plan = plan
 
     @classmethod
     def from_config(
@@ -797,17 +687,10 @@ class ShardedMiner:
         live: Union[
             None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"
         ] = None,
-        shard_strategy: str = "roundrobin",
-        plan: Optional[dict[str, Any]] = None,
     ) -> "ShardedMiner":
         """Build from a ready-made :class:`MinerConfig`."""
         return cls(
-            config=config,
-            workers=workers,
-            executor=executor,
-            live=live,
-            shard_strategy=shard_strategy,
-            plan=plan,
+            config=config, workers=workers, executor=executor, live=live
         )
 
     def mine(self, db: ESequenceDatabase) -> MiningResult:
@@ -818,6 +701,4 @@ class ShardedMiner:
             workers=self.workers,
             executor=self.executor,
             live=self.live,
-            shard_strategy=self.shard_strategy,
-            plan=self.plan,
         )

@@ -52,10 +52,6 @@ class RunMetrics:
     (:meth:`~repro.obs.provenance.ProvenanceCollector.snapshot`) when
     ``collect_provenance=True``; callables that never run the
     instrumented search leave its ``patterns``/``pruned`` maps empty.
-    ``plan`` is provenance like ``config_fingerprint``: the shard-plan
-    summary (:func:`repro.obs.planner.plan_summary`) the measured
-    callable mined under, when the caller built one — sweeps surface
-    its predicted imbalance next to the realized one.
     """
 
     result: Any
@@ -68,7 +64,6 @@ class RunMetrics:
     cost_profile: Optional[dict[str, Any]] = None
     config_fingerprint: Optional[str] = None
     provenance: Optional[dict[str, Any]] = None
-    plan: Optional[dict[str, Any]] = None
 
     @property
     def peak_mem_mb(self) -> Optional[float]:
@@ -89,7 +84,6 @@ def measure(
     collect_provenance: bool = False,
     workers: int = 1,
     fingerprint: Optional[str] = None,
-    plan: Optional[dict[str, Any]] = None,
 ) -> RunMetrics:
     """Run ``fn`` once, measuring wall time and peak heap growth.
 
@@ -168,7 +162,6 @@ def measure(
                 collect_cost=collect_cost,
                 collect_provenance=collect_provenance,
                 fingerprint=fingerprint,
-                plan=plan,
             )
         return RunMetrics(
             inner.result,
@@ -181,7 +174,6 @@ def measure(
             cost_profile=inner.cost_profile,
             config_fingerprint=fingerprint,
             provenance=inner.provenance,
-            plan=plan,
         )
     if collect_obs:
         with _obs_metrics.use_registry() as registry:
@@ -192,7 +184,6 @@ def measure(
                 collect_cost=collect_cost,
                 collect_provenance=collect_provenance,
                 fingerprint=fingerprint,
-                plan=plan,
             )
         return RunMetrics(
             inner.result,
@@ -204,7 +195,6 @@ def measure(
             cost_profile=inner.cost_profile,
             config_fingerprint=fingerprint,
             provenance=inner.provenance,
-            plan=plan,
         )
     if collect_cost:
         with _obs_costmodel.use_collector() as cost_collector:
@@ -214,7 +204,6 @@ def measure(
                 collect_live=collect_live,
                 collect_provenance=collect_provenance,
                 fingerprint=fingerprint,
-                plan=plan,
             )
         return RunMetrics(
             inner.result,
@@ -225,7 +214,6 @@ def measure(
             cost_profile=cost_collector.snapshot(),
             config_fingerprint=fingerprint,
             provenance=inner.provenance,
-            plan=plan,
         )
     if collect_provenance:
         with _obs_provenance.use_collector() as prov_collector:
@@ -234,7 +222,6 @@ def measure(
                 track_memory=track_memory,
                 collect_live=collect_live,
                 fingerprint=fingerprint,
-                plan=plan,
             )
         return RunMetrics(
             inner.result,
@@ -244,7 +231,6 @@ def measure(
             live_summary=inner.live_summary,
             config_fingerprint=fingerprint,
             provenance=prov_collector.snapshot(),
-            plan=plan,
         )
     if collect_live:
         live_config = _obs_live.LiveConfig(render=False)
@@ -257,7 +243,6 @@ def measure(
             workers=workers,
             live_summary=live_collector.summary,
             config_fingerprint=fingerprint,
-            plan=plan,
         )
     if not track_memory:
         started = _obs_clock.now()
@@ -268,7 +253,6 @@ def measure(
             None,
             workers=workers,
             config_fingerprint=fingerprint,
-            plan=plan,
         )
     already_tracing = tracemalloc.is_tracing()
     if not already_tracing:
@@ -289,5 +273,4 @@ def measure(
         max(0, peak - base),
         workers=workers,
         config_fingerprint=fingerprint,
-        plan=plan,
     )

@@ -96,8 +96,6 @@ class ExperimentRunner:
         collect_cost: bool = False,
         collect_provenance: bool = False,
         workers: int = 1,
-        shard_strategy: str = "roundrobin",
-        ledger_dir: str | Path | None = None,
         extra: dict | None = None,
     ) -> list[dict]:
         """Run every miner at one sweep point, appending result rows.
@@ -126,14 +124,6 @@ class ExperimentRunner:
         ``collect_provenance=True`` scopes a pattern provenance
         collector around each run and attaches its snapshot under the
         row's ``"provenance"`` key, same encoding rules as ``"cost"``.
-        ``shard_strategy="predicted"`` (with ``workers > 1``) builds a
-        shard plan via :func:`repro.obs.planner.build_plan` —
-        ledger-calibrated when ``ledger_dir`` names a run ledger with
-        matching history, static-features otherwise — deals roots by
-        LPT over the forecasts, and emits ``shard_strategy`` and
-        ``predicted_imbalance`` row columns (the latter ``None`` for
-        round-robin rows). Results are bit-for-bit identical either
-        way; only load balance changes.
 
         Every row also carries a ``config_fingerprint`` column — the
         :func:`repro.obs.ledger.config_fingerprint` over the database's
@@ -141,45 +131,23 @@ class ExperimentRunner:
         count — so sweep rows are directly joinable against run-ledger
         entries for the same configuration.
         """
-        from repro.core.config import SHARD_STRATEGIES
         from repro.obs.ledger import config_fingerprint, dataset_digest
 
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard_strategy {shard_strategy!r}; "
-                f"known: {list(SHARD_STRATEGIES)}"
-            )
         db_digest = dataset_digest(db)
         new_rows = []
         for spec in miners:
             miner = spec.build(x_value)
-            plan = None
-            plan_brief = None
-            if workers != 1 or shard_strategy != "roundrobin":
+            if workers != 1:
                 from repro.core.ptpminer import PTPMiner
                 from repro.engine import ShardedMiner
 
                 if not isinstance(miner, PTPMiner):
                     raise ValueError(
-                        "workers > 1 (or shard_strategy) requires a "
-                        f"PTPMiner spec; {spec.name!r} built "
-                        f"{type(miner).__name__}"
+                        "workers > 1 requires a PTPMiner spec; "
+                        f"{spec.name!r} built {type(miner).__name__}"
                     )
-                if shard_strategy == "predicted":
-                    from repro.obs import planner as _planner
-
-                    plan = _planner.build_plan(
-                        db,
-                        miner.config,
-                        workers=workers,
-                        ledger_dir=ledger_dir,
-                    )
-                    plan_brief = _planner.plan_summary(plan)
                 miner = ShardedMiner.from_config(
-                    miner.config,
-                    workers=workers,
-                    shard_strategy=shard_strategy,
-                    plan=plan,
+                    miner.config, workers=workers
                 )
             built_config = getattr(miner, "config", None)
             fingerprint = config_fingerprint(
@@ -199,7 +167,6 @@ class ExperimentRunner:
                 collect_provenance=collect_provenance,
                 workers=workers,
                 fingerprint=fingerprint,
-                plan=plan_brief,
             )
             mining = metrics.result
             row = {
@@ -207,16 +174,9 @@ class ExperimentRunner:
                 self.x_name: x_value,
                 "dataset": db.name,
                 "workers": metrics.workers,
-                "shard_strategy": shard_strategy,
                 "config_fingerprint": metrics.config_fingerprint,
                 "runtime_s": round(metrics.elapsed_s, 4),
                 "patterns": len(mining.patterns),
-                "predicted_imbalance": (
-                    None if plan_brief is None
-                    else plan_brief["predicted_imbalance"].get(
-                        shard_strategy
-                    )
-                ),
             }
             if track_memory:
                 peak = metrics.peak_mem_mb

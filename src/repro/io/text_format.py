@@ -70,7 +70,12 @@ def _parse_time(text: str) -> float:
 
 
 def read_database(path: str | os.PathLike) -> ESequenceDatabase:
-    """Read a database written by :func:`write_database`."""
+    """Read a database written by :func:`write_database`.
+
+    Every malformed line — a wrong field count, an unparsable or
+    non-finite timestamp, ``finish < start`` — raises a
+    :class:`ValueError` that starts with ``{path}:{line}:``.
+    """
     name = ""
     sequences: list[ESequence] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -84,22 +89,23 @@ def read_database(path: str | os.PathLike) -> ESequenceDatabase:
                 if body.startswith("name:"):
                     name = body[len("name:"):].strip()
                 continue
-            events = []
-            for chunk in line.split(";"):
-                fields = chunk.split(",")
-                if len(fields) != 3:
-                    raise ValueError(
-                        f"{path}:{line_no}: malformed event {chunk!r}"
+            try:
+                events = []
+                for chunk in line.split(";"):
+                    fields = chunk.split(",")
+                    if len(fields) != 3:
+                        raise ValueError(f"malformed event {chunk!r}")
+                    label, start_text, finish_text = fields
+                    events.append(
+                        IntervalEvent(
+                            _parse_time(start_text),
+                            _parse_time(finish_text),
+                            label,
+                        )
                     )
-                label, start_text, finish_text = fields
-                events.append(
-                    IntervalEvent(
-                        _parse_time(start_text),
-                        _parse_time(finish_text),
-                        label,
-                    )
-                )
-            sequences.append(ESequence(events))
+                sequences.append(ESequence(events))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return ESequenceDatabase(sequences, name=name)
 
 

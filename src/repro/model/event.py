@@ -28,6 +28,8 @@ __all__ = ["IntervalEvent", "point_event"]
 #: totally ordered numeric type works.
 Timestamp = float
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class IntervalEvent:
@@ -42,7 +44,9 @@ class IntervalEvent:
     start:
         Beginning timestamp of the event.
     finish:
-        Ending timestamp; must satisfy ``finish >= start``.
+        Ending timestamp; must satisfy ``finish >= start``. Both
+        timestamps must be finite: NaN would break the total order and
+        infinities have no place on the time axis.
     label:
         The event type (symbol) drawn from the database alphabet.
 
@@ -62,10 +66,17 @@ class IntervalEvent:
     label: str
 
     def __post_init__(self) -> None:
-        if self.finish < self.start:
+        # One chained comparison on the hot path: it is False for NaN,
+        # for either infinity, and for finish < start.
+        if not -_INF < self.start <= self.finish < _INF:
+            if self.finish < self.start:
+                raise ValueError(
+                    f"event {self.label!r} has finish < start "
+                    f"({self.finish} < {self.start})"
+                )
             raise ValueError(
-                f"event {self.label!r} has finish < start "
-                f"({self.finish} < {self.start})"
+                f"event {self.label!r} has a non-finite timestamp "
+                f"(start={self.start}, finish={self.finish})"
             )
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"event label must be a non-empty string, got {self.label!r}")

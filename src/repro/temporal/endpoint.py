@@ -42,7 +42,6 @@ __all__ = [
     "FINISH",
     "POINT",
     "KIND_CHARS",
-    "token_name",
     "Endpoint",
     "EndpointSequence",
     "EncodedSequence",
@@ -60,20 +59,6 @@ POINT, START, FINISH = 0, 1, 2
 #: Display characters per kind code.
 KIND_CHARS = {START: "+", FINISH: "-", POINT: "."}
 _CHAR_KINDS = {char: kind for kind, char in KIND_CHARS.items()}
-
-
-def token_name(label: str, occ: int, kind: int) -> str:
-    """The display string of an endpoint token, e.g. ``"A+"``, ``"B#2-"``.
-
-    The single source of the display grammar (occurrence suffix omitted
-    when 1). :meth:`Endpoint.__str__` and every place that needs a root
-    or token name without holding an :class:`Endpoint` instance — e.g.
-    :mod:`repro.engine` mapping shard-plan cost forecasts onto root
-    candidates, where constructing endpoints outside the encoder is
-    forbidden — delegate here so names always agree.
-    """
-    suffix = f"#{occ}" if occ != 1 else ""
-    return f"{label}{suffix}{KIND_CHARS[kind]}"
 
 
 class Endpoint(NamedTuple):
@@ -94,7 +79,8 @@ class Endpoint(NamedTuple):
         return (self.label, self.kind, self.occ)
 
     def __str__(self) -> str:
-        return token_name(self.label, self.occ, self.kind)
+        suffix = f"#{self.occ}" if self.occ != 1 else ""
+        return f"{self.label}{suffix}{KIND_CHARS[self.kind]}"
 
     @classmethod
     def parse(cls, text: str) -> "Endpoint":

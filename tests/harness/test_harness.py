@@ -586,52 +586,3 @@ class TestCollectProvenance:
         )
         assert "provenance" not in row
 
-
-class TestPredictedStrategyRows:
-    def specs(self):
-        return [MinerSpec("ptpminer", lambda ms: PTPMiner(ms))]
-
-    def test_predicted_rows_carry_strategy_and_imbalance(self):
-        db = make_random_db(3, num_sequences=12)
-        runner = ExperimentRunner("demo")
-        (row,) = runner.run_point(
-            db, 0.3, self.specs(), workers=3,
-            shard_strategy="predicted",
-        )
-        assert row["shard_strategy"] == "predicted"
-        assert (
-            row["predicted_imbalance"] is None
-            or row["predicted_imbalance"] >= 1.0
-        )
-
-    def test_roundrobin_rows_have_null_predicted_imbalance(self):
-        db = make_random_db(3, num_sequences=12)
-        runner = ExperimentRunner("demo")
-        (row,) = runner.run_point(db, 0.3, self.specs(), workers=3)
-        assert row["shard_strategy"] == "roundrobin"
-        assert row["predicted_imbalance"] is None
-
-    def test_predicted_results_match_roundrobin(self):
-        db = make_random_db(4, num_sequences=12)
-        runner = ExperimentRunner("demo")
-        (rr,) = runner.run_point(db, 0.3, self.specs(), workers=3)
-        (pred,) = runner.run_point(
-            db, 0.3, self.specs(), workers=3,
-            shard_strategy="predicted",
-        )
-        assert pred["patterns"] == rr["patterns"]
-        assert pred["nodes_expanded"] == rr["nodes_expanded"]
-
-    def test_unknown_strategy_rejected(self):
-        db = make_random_db(3, num_sequences=6)
-        runner = ExperimentRunner("demo")
-        with pytest.raises(ValueError, match="shard_strategy"):
-            runner.run_point(
-                db, 0.3, self.specs(), workers=2,
-                shard_strategy="zigzag",
-            )
-
-    def test_plan_summary_stamped_onto_metrics(self):
-        result = measure(lambda: 41, plan={"workers": 2})
-        assert result.plan == {"workers": 2}
-        assert measure(lambda: 41).plan is None

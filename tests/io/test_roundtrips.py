@@ -1,5 +1,7 @@
 """Round-trip and error-handling tests for all four I/O formats."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,26 @@ class TestTextFormatErrors:
         path = tmp_path / "c.txt"
         path.write_text("# a comment\nA,0,1\n")
         assert len(read_database(path)) == 1
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["a,nan,3;b,1,2", "a,0,inf;b,1,2", "a,-inf,3;b,1,2",
+         "a,abc,3;b,1,2", "a,5,3;b,1,2"],
+        ids=["nan", "inf", "-inf", "abc", "finish<start"],
+    )
+    def test_bad_timestamp_fails_loudly_with_its_line(
+        self, tmp_path, capsys, bad_line
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# name: bad\na,0,1;b,1,2\n{bad_line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            read_database(path)
+        assert main(["mine", str(path), "--min-sup", "0.5"]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:3:" in captured.err
 
 
 class TestSpmfErrors:

@@ -463,45 +463,37 @@ class TestHistoryLimit:
 
 
 class TestSchemaV2:
-    """The v1 -> v2 migration: tolerant back-read, new optional fields."""
+    """The v1 -> v2 migration: tolerant back-read of every older entry."""
 
-    PLAN = {
-        "workers": 2,
-        "predictor": {"source": "static", "history_runs": 0,
-                      "scale": None},
-        "predicted_imbalance": {"predicted": 1.1, "roundrobin": 1.9},
-    }
-    CALIBRATION = {
-        "schema": 1, "kind": "repro-calibration",
-        "strategy": "predicted", "predictor": "static",
-        "actual_metric": "wall_s", "roots_matched": 3,
-        "mape": 0.25, "rank_corr": 1.0,
-        "worst_miss": {"root": "e0+", "predicted_share": 0.5,
-                       "actual_share": 0.4},
+    #: Blocks some older v2 entries carry and no reader uses any more.
+    LEGACY_BLOCKS = {
+        "plan": {
+            "workers": 2,
+            "predictor": {"source": "static", "history_runs": 0},
+            "assignments": {"roundrobin": {"shards": [["e0+"], []]}},
+        },
+        "calibration": {
+            "schema": 1, "kind": "repro-calibration", "mape": 0.25,
+            "rank_corr": 1.0, "actual_metric": "wall_s",
+        },
     }
 
     def v1_line(self, run_id):
         made = entry(run_id=run_id, cost_snapshot=cost_snapshot())
         made["schema"] = 1
-        # Pre-bump entries stored only digest + top_roots.
-        del made["cost"]["roots"]
         return json.dumps(made, sort_keys=True, separators=(",", ":"))
 
-    def test_cost_block_carries_full_per_root_walls(self):
-        made = entry(run_id="r1", cost_snapshot=cost_snapshot())
-        assert made["cost"]["roots"] == {"e0+": pytest.approx(0.1)}
+    def legacy_v2_line(self, run_id):
+        made = entry(run_id=run_id, cost_snapshot=cost_snapshot())
+        made["cost"]["roots"] = {"e0+": 0.1}
+        made.update(self.LEGACY_BLOCKS)
+        return json.dumps(made, sort_keys=True, separators=(",", ":"))
 
-    def test_plan_and_calibration_fields_round_trip(self, tmp_path):
-        made = entry(
-            run_id="r1", plan=self.PLAN, calibration=self.CALIBRATION
-        )
-        ledger = RunLedger(tmp_path)
-        ledger.append(made)
-        (got,) = ledger.entries()
-        assert got["plan"] == self.PLAN
-        assert got["calibration"]["mape"] == 0.25
-        plain = entry(run_id="r2")
-        assert "plan" not in plain and "calibration" not in plain
+    def test_new_entries_carry_no_legacy_blocks(self):
+        made = entry(run_id="r1", cost_snapshot=cost_snapshot())
+        assert made["schema"] == LEDGER_SCHEMA_VERSION == 2
+        assert set(made["cost"]) == {"digest", "top_roots"}
+        assert "plan" not in made and "calibration" not in made
 
     def test_v1_lines_read_back_without_warnings(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -514,22 +506,24 @@ class TestSchemaV2:
         assert [e["run_id"] for e in got] == ["r2", "r1-old"]
         assert [e["schema"] for e in got] == [LEDGER_SCHEMA_VERSION, 1]
 
-    def test_history_trends_calibration_mape(self, tmp_path):
+    def test_legacy_ledger_reads_and_gates_without_warnings(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
         ledger = RunLedger(tmp_path)
-        ledger.append(
-            entry(run_id="r1", calibration=self.CALIBRATION)
-        )
-        with ledger.path.open("a", encoding="utf-8") as handle:
-            handle.write(self.v1_line("r0-old") + "\n")
-        report = history_report(ledger.entries())
-        rows = {
-            row["run_id"]: row
-            for group in report["groups"]
-            for row in group["runs"]
-        }
-        assert rows["r1"]["cal_mape"] == 0.25
-        assert rows["r1"]["shard_strategy"] == "predicted"
-        assert rows["r0-old"]["cal_mape"] is None
-        text = render_history_markdown(report)
-        assert "plan MAPE" in text
-        assert "0.250" in text
+        with ledger.path.open("w", encoding="utf-8") as handle:
+            handle.write(self.v1_line("r1-old") + "\n")
+            handle.write(self.legacy_v2_line("r2-old") + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ledger.entries()
+            assert [e["run_id"] for e in got] == ["r1-old", "r2-old"]
+            assert history_report(got)["regressions"] == []
+            assert main(
+                ["history", "--ledger-dir", str(tmp_path), "--check"]
+            ) == 0
+            assert main(
+                ["diff", "r1-old", "r2-old", "--ledger-dir", str(tmp_path)]
+            ) == 0
+        assert "MAPE" not in capsys.readouterr().out

@@ -507,150 +507,68 @@ class TestLiveMode:
         assert result.patterns == PTPMiner(min_sup=0.3).mine(tiny_db).patterns
 
 
-class TestPredictedStrategy:
-    """`shard_strategy` is an execution knob: any deal, same bits.
+class TestPartitionProperty:
+    """Hypothesis: any partition of the root candidates, same bits.
 
-    The predicted (LPT) deal consumes forecasts from
-    :mod:`repro.obs.planner`; a wrong — or absent, or adversarial —
-    forecast may cost wall time but never changes the merged result,
-    counters, or observability snapshots.
+    The engine deals round-robin, but the determinism guarantee is
+    stronger: mining the parts of *any* partition through the public
+    ``plan_root`` + ``search_shard`` halves and merging reproduces
+    ``mine()``'s patterns and counters exactly.
     """
 
-    @staticmethod
-    def build_plan(db, config, workers):
-        from repro.obs import planner
-
-        return planner.build_plan(db, config, workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    def test_predicted_matches_serial_and_roundrobin(
-        self, tiny_db, workers, executor
-    ):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, workers)
-        # No ledger history: this exercises the static fallback
-        # predictor end to end.
-        assert plan["predictor"]["source"] == "static"
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        roundrobin = mine_sharded(
-            tiny_db, config, workers=workers, executor=executor
-        )
-        predicted = mine_sharded(
-            tiny_db, config, workers=workers, executor=executor,
-            shard_strategy="predicted", plan=plan,
-        )
-        assert_identical(predicted, serial)
-        assert_identical(roundrobin, serial)
-        assert predicted.params["shard_strategy"] == "predicted"
-
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    def test_predicted_without_plan_uses_static_proxy(
-        self, tiny_db, executor
-    ):
-        config = MinerConfig(min_sup=0.3)
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        predicted = mine_sharded(
-            tiny_db, config, workers=3, executor=executor,
-            shard_strategy="predicted",
-        )
-        assert_identical(predicted, serial)
-
-    def test_snapshots_bit_for_bit_under_predicted(self, tiny_db):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, 3)
-        with clock_scope(ManualClock()):
-            with obs_costmodel.use_collector() as serial_cost:
-                with obs_provenance.use_collector() as serial_prov:
-                    PTPMiner.from_config(config).mine(tiny_db)
-            with obs_costmodel.use_collector() as cost:
-                with obs_provenance.use_collector() as prov:
-                    mine_sharded(
-                        tiny_db, config, workers=3, executor="serial",
-                        shard_strategy="predicted", plan=plan,
-                    )
-        assert json.dumps(cost.snapshot(), sort_keys=True) == json.dumps(
-            serial_cost.snapshot(), sort_keys=True
-        )
-        assert json.dumps(prov.snapshot(), sort_keys=True) == json.dumps(
-            serial_prov.snapshot(), sort_keys=True
-        )
-
-    def test_all_zero_forecasts_keep_no_empty_shards(self, tiny_db):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, 3)
-        for entry in plan["roots"].values():
-            entry["predicted_cost"] = 0.0
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        predicted = mine_sharded(
-            tiny_db, config, workers=3, executor="serial",
-            shard_strategy="predicted", plan=plan,
-        )
-        assert_identical(predicted, serial)
-
-    def test_rejects_unknown_strategy(self, tiny_db):
-        with pytest.raises(ValueError, match="shard_strategy"):
-            mine_sharded(
-                tiny_db, MinerConfig(min_sup=0.3), workers=2,
-                executor="serial", shard_strategy="zigzag",
-            )
-        with pytest.raises(ValueError, match="shard_strategy"):
-            ShardedMiner(
-                min_sup=0.3, workers=2, shard_strategy="zigzag"
-            )
-
-    def test_sharded_miner_threads_strategy_through(self, tiny_db):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, 2)
-        miner = ShardedMiner.from_config(
-            config, workers=2, executor="serial",
-            shard_strategy="predicted", plan=plan,
-        )
-        result = miner.mine(tiny_db)
-        assert result.params["shard_strategy"] == "predicted"
-        assert result.patterns == PTPMiner.from_config(config).mine(
-            tiny_db
-        ).patterns
-
-
-class TestPredictedStrategyProperty:
-    """Hypothesis: identity holds for *any* forecast whatsoever."""
-
-    def test_arbitrary_forecasts_never_change_results(self, tiny_db):
+    @pytest.mark.parametrize("mode", ["tp", "htp"])
+    def test_any_partition_merges_to_serial(self, mode):
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        config = MinerConfig(min_sup=0.3)
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        base_plan = TestPredictedStrategy.build_plan(tiny_db, config, 4)
-        names = sorted(base_plan["roots"])
-
-        @settings(max_examples=12, deadline=None)
-        @given(
-            workers=st.integers(1, 4),
-            executor=st.sampled_from(sorted(EXECUTORS)),
-            costs=st.lists(
-                st.floats(
-                    min_value=-1.0,
-                    max_value=1e6,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ),
-                min_size=len(names),
-                max_size=len(names),
-            ),
-            drop=st.sets(st.sampled_from(names)) if names else st.none(),
+        from repro.datagen.synthetic import (
+            SyntheticConfig,
+            SyntheticGenerator,
         )
-        def check(workers, executor, costs, drop):
-            plan = json.loads(json.dumps(base_plan))
-            for name, cost in zip(names, costs):
-                plan["roots"][name]["predicted_cost"] = cost
-            for name in drop or ():
-                del plan["roots"][name]  # unforecast root -> proxy path
-            predicted = mine_sharded(
-                tiny_db, config, workers=workers, executor=executor,
-                shard_strategy="predicted", plan=plan,
+        from repro.model.pattern import PatternWithSupport
+
+        @settings(max_examples=15, deadline=None)
+        @given(seed=st.integers(0, 2**16), data=st.data())
+        def check(seed, data):
+            db = SyntheticGenerator(
+                SyntheticConfig(
+                    num_sequences=12,
+                    avg_events=5,
+                    num_labels=4,
+                    point_fraction=0.3 if mode == "htp" else 0.0,
+                    seed=seed,
+                    name=f"partition-{seed}",
+                )
+            ).generate()
+            config = MinerConfig(min_sup=0.25, mode=mode)
+            miner = PTPMiner.from_config(config)
+            serial = miner.mine(db)
+            threshold = float(db.absolute_support(config.min_sup))
+            weights = [1.0] * len(db)
+            mining_db, counters, root = miner.plan_root(
+                db, weights, threshold
             )
-            assert_identical(predicted, serial)
+            ordered = sorted(root)
+            labels = data.draw(
+                st.lists(
+                    st.integers(0, 3),
+                    min_size=len(ordered),
+                    max_size=len(ordered),
+                ),
+                label="part of each root candidate",
+            )
+            parts: dict[int, dict] = {}
+            for cand, part in zip(ordered, labels):
+                parts.setdefault(part, {})[cand] = root[cand]
+            patterns = []
+            for part in sorted(parts):
+                found, shard_counters = miner.search_shard(
+                    mining_db, weights, threshold, parts[part]
+                )
+                patterns.extend(found)
+                counters.merge(shard_counters)
+            patterns.sort(key=PatternWithSupport.sort_key)
+            assert patterns == serial.patterns
+            assert counters == serial.counters
 
         check()
