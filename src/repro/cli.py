@@ -55,7 +55,7 @@ Observability
 -------------
 ``mine`` exposes the :mod:`repro.obs` layer: ``--trace FILE`` streams a
 JSONL span trace, ``--metrics-out FILE`` writes the run's metrics
-snapshot as JSON (render it with ``python -m repro.obs.report FILE``),
+snapshot as JSON (render it with ``ptpminer report --metrics FILE``),
 ``--progress`` prints throttled search heartbeats to stderr, and the
 global ``--log-level`` configures the standard-library logging root.
 ``--profile`` runs the per-phase profiler
@@ -277,32 +277,20 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    registry = None
     profiler = None
-    cost_collector = None
-    prov_collector = None
-    # Ledger entries carry a cost digest when the miner can produce one.
-    collect_cost = bool(args.cost_profile or args.ledger_dir) and (
-        args.miner == "ptpminer"
-    )
-    collect_provenance = bool(args.provenance)
+    names: set[str] = set()
+    if args.metrics_out or args.ledger_dir:
+        # The ledger reads phase timings off the metrics registry, so
+        # --ledger-dir installs one even without --metrics-out.
+        names.add("metrics")
+    if (args.cost_profile or args.ledger_dir) and args.miner == "ptpminer":
+        # Ledger entries carry a cost digest when the miner has one.
+        names.add("cost")
+    if args.provenance:
+        names.add("provenance")
     profile_base = args.profile_out or ("profile" if args.profile else None)
     with ExitStack() as stack:
-        if args.metrics_out or args.ledger_dir:
-            # The ledger reads phase timings off the metrics registry,
-            # so --ledger-dir installs one even without --metrics-out.
-            registry = obs.MetricsRegistry()
-            stack.enter_context(obs.metrics.use_registry(registry))
-        if collect_cost:
-            cost_collector = stack.enter_context(
-                obs.costmodel.use_collector()
-            )
-        if collect_provenance:
-            from repro.obs import provenance as obs_provenance
-
-            prov_collector = stack.enter_context(
-                obs_provenance.use_collector()
-            )
+        snapshots = stack.enter_context(obs.collect(names))
         if args.trace:
             writer = stack.enter_context(obs.JsonlTraceWriter.open(args.trace))
             stack.enter_context(obs.trace.use_tracer(writer))
@@ -333,8 +321,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         else:
             result = miner.mine(db)
     if args.metrics_out:
-        assert registry is not None
-        snapshot = result.metrics or registry.snapshot()
+        snapshot = result.metrics or snapshots["metrics"]
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -343,18 +330,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"wrote span trace to {args.trace}", file=sys.stderr)
     if args.cost_profile:
-        assert cost_collector is not None  # guarded above
         with open(args.cost_profile, "w", encoding="utf-8") as handle:
-            json.dump(
-                cost_collector.snapshot(), handle, indent=2, sort_keys=True
-            )
+            json.dump(snapshots["cost"], handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote cost profile to {args.cost_profile}", file=sys.stderr)
     if args.provenance:
-        assert prov_collector is not None  # guarded above
         with open(args.provenance, "w", encoding="utf-8") as handle:
             json.dump(
-                prov_collector.snapshot(), handle, indent=2, sort_keys=True
+                snapshots["provenance"], handle, indent=2, sort_keys=True
             )
             handle.write("\n")
         print(
@@ -367,11 +350,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         from repro.obs import ledger as obs_ledger
         from repro.obs import provenance as obs_provenance
 
-        assert registry is not None
-        snapshot = result.metrics or registry.snapshot()
-        cost_snapshot = (
-            cost_collector.snapshot() if cost_collector is not None else None
-        )
+        snapshot = result.metrics or snapshots["metrics"]
         entry = obs_ledger.build_entry(
             dataset_digest=obs_ledger.dataset_digest(db),
             miner=args.miner,
@@ -382,7 +361,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             patterns=len(result.patterns),
             counters=result.counters.as_dict(),
             phases=obs_ledger.phase_seconds(snapshot),
-            cost_snapshot=cost_snapshot,
+            cost_snapshot=snapshots.get("cost"),
             patterns_digest=obs_provenance.patterns_digest(result.patterns),
             provenance_path=args.provenance,
         )
@@ -782,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a JSONL span trace of the run")
     mine_p.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the run's metrics snapshot as JSON "
-                             "(render with 'python -m repro.obs.report')")
+                             "(render with 'ptpminer report --metrics')")
     mine_p.add_argument("--progress", action="store_true",
                         help="print throttled search heartbeats to stderr")
     mine_p.add_argument("--profile", action="store_true",

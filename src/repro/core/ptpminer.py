@@ -43,9 +43,8 @@ from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport, TemporalPattern
 from repro.model.sequence import ESequence
 from repro.obs import clock as obs_clock
-from repro.obs import costmodel as obs_costmodel
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -66,9 +65,6 @@ _Candidate = tuple[int, int, int]
 RootCandidates = dict[_Candidate, tuple[float, list[int]]]
 _I_EXT, _S_EXT = 0, 1
 _EPS = 1e-9
-
-#: Histogram bounds for candidates discovered per search node (obs only).
-_CANDIDATE_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
 
 
 def _run_snapshot(
@@ -397,10 +393,6 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
         candidates: RootCandidates,
-        *,
-        on_root: Optional[
-            Callable[[int, int, int, dict[str, int]], None]
-        ] = None,
     ) -> tuple[list[PatternWithSupport], PruneCounters]:
         """Expand a shard of root candidates: the worker half of sharding.
 
@@ -418,47 +410,23 @@ class PTPMiner:
         there (see ``scalebench/README.md``). Building the prepared
         state once and handing it to workers is ROADMAP item 2.
 
-        ``on_root`` is the live-telemetry hook
-        (:mod:`repro.obs.live`): when given, it is invoked after each
-        root candidate's subtree completes with ``(roots_done,
-        roots_total, patterns_found, cumulative_counter_totals)``. The
-        candidates are then expanded one :meth:`_search` call each — in
-        the same canonical sorted order the single-call search uses, and
-        subtree accounting is independent across root candidates, so
-        patterns and counters stay bit-for-bit identical to the
-        ``on_root=None`` fast path (which itself is byte-identical to
-        the pre-live code: one branch on a ``None``).
+        Live shard telemetry (:mod:`repro.obs.live`) needs no hook
+        here: the worker's live sink subscribes to the search's
+        ``root_done`` event.
         """
         counters = PruneCounters()
         _, encoded, pairs = self._prepare(
             mining_db, weights, threshold, counters, point_prune=False
         )
         with obs_trace.span("search", shard_candidates=len(candidates)):
-            if on_root is None:
-                patterns = self._search(
-                    encoded,
-                    weights,
-                    [float(threshold)],
-                    pairs,
-                    counters,
-                    root_candidates=candidates,
-                )
-            else:
-                patterns = []
-                ordered = sorted(candidates)
-                total = len(ordered)
-                for done, cand in enumerate(ordered, start=1):
-                    patterns.extend(
-                        self._search(
-                            encoded,
-                            weights,
-                            [float(threshold)],
-                            pairs,
-                            counters,
-                            root_candidates={cand: candidates[cand]},
-                        )
-                    )
-                    on_root(done, total, len(patterns), counters.as_dict())
+            patterns = self._search(
+                encoded,
+                weights,
+                [float(threshold)],
+                pairs,
+                counters,
+                root_candidates=candidates,
+            )
         return patterns, counters
 
     def mine_top_k(
@@ -717,32 +685,21 @@ class PTPMiner:
         max_weight = max(weights, default=0.0)
         results: list[PatternWithSupport] = []
 
-        # Observability: one lookup per search; every per-node recording
-        # site below is guarded by a single local check, so the disabled
-        # path costs one branch (same discipline as repro.contracts).
-        registry = obs_metrics.active_registry()
-        tracer = obs_trace.active_tracer()
-        progress = obs_progress.active_reporter()
-        cost = obs_costmodel.active_collector()
-        prov = obs_provenance.active_collector()
-        # The level-1 root token whose subtree the search is currently
-        # inside — the provenance records' attribution key. A one-cell
-        # list so the dfs closure can rebind it without ``nonlocal``.
-        prov_root = [""]
-        obs_on = registry is not None or tracer is not None
-        obs_span = obs_trace.span
-        states_by_depth: dict[int, int] = {}
-        patterns_by_length: dict[int, int] = {}
-        candidates_by_ext = [0, 0]
-        pruned_by_ext = [0, 0]
-        dedupe_stats: Optional[dict[str, int]] = {} if obs_on else None
-
         # Pattern state, mutated along the DFS and restored on backtrack.
         pointsets: list[list[tuple[int, int]]] = []
         next_occ: dict[int, int] = {}
         open_start_ps: dict[tuple[int, int], int] = {}  # (lab,pocc)->ps idx
         num_tokens = 0
         num_occurrences = 0
+
+        # Observability: one event stream per search, ``None`` when no
+        # collector is installed, so every recording site below costs
+        # one branch on the disabled path (same discipline as
+        # repro.contracts). ``obs_on`` guards the extend/project spans.
+        events = obs_events.open_search(counters, encoded, pointsets)
+        obs_on = obs_trace.spans_enabled()
+        obs_span = obs_trace.span
+        dedupe_stats = None if events is None else events.tally
 
         def allowed_finish(lab: int, pocc: int) -> bool:
             """Canonical duplicate rule: close lower same-pointset occs first."""
@@ -795,35 +752,6 @@ class PTPMiner:
                 validate=False,
             )
 
-        def decode_extended(cand: _Candidate) -> str:
-            """Canonical string of the pattern ``cand`` would extend to.
-
-            Provenance keys killed candidates by the pattern prefix they
-            would have reached, so ``why-not`` can look a queried
-            pattern's generation prefixes straight up in the snapshot.
-            """
-            ext, sym, pocc = cand
-            extended = [list(ps) for ps in pointsets]
-            if ext == _S_EXT or not extended:
-                extended.append([(sym, pocc)])
-            else:
-                extended[-1].append((sym, pocc))
-            return str(
-                TemporalPattern(
-                    (
-                        (encoded.decode_token(tok) for tok in ps)
-                        for ps in extended
-                    ),
-                    validate=False,
-                )
-            )
-
-        def cand_root(cand: _Candidate) -> str:
-            """Root attribution for a candidate killed at this node."""
-            if pointsets:
-                return prov_root[0]
-            return str(encoded.decode_token((cand[1], cand[2])))
-
         def gather_candidates(
             proj: list[tuple[int, tuple[State, ...]]],
             last_token: Optional[tuple[int, int]],
@@ -837,11 +765,11 @@ class PTPMiner:
             # make_pair_ok() so each check is a handful of dict lookups,
             # cached per candidate for the node.
             pair_cache: dict[_Candidate, bool] = {}
-            # Provenance: candidates rejected by the max_span window
-            # during the scan. Recorded after the scan, minus any that
-            # another state *did* discover (those were generated).
+            # Candidates rejected by the max_span window during the
+            # scan. Reported after the scan, minus any that another
+            # state *did* discover (those were generated).
             span_skipped: Optional[set[_Candidate]] = (
-                set() if prov is not None and max_span is not None else None
+                set() if events is not None and max_span is not None else None
             )
             for sid, states in proj:
                 seq = sequences[sid]
@@ -940,31 +868,23 @@ class PTPMiner:
                         pair_cache[cand] = keep
                         if not keep:
                             counters.pruned_pair += 1
-                            if obs_on:
-                                pruned_by_ext[cand[0]] += 1
-                            if prov is not None:
-                                prov.record_pruned(
-                                    decode_extended(cand),
-                                    site="pair",
-                                    level=num_tokens + 1,
-                                    root=cand_root(cand),
+                            if events is not None:
+                                events.killed(
+                                    "pair",
+                                    num_tokens + 1,
+                                    cand,
                                     threshold=threshold_box[0],
                                 )
                     if not keep:
                         continue
                     weight_of[cand] = weight_of.get(cand, 0.0) + weight
                     sids_of.setdefault(cand, []).append(sid)
-            if prov is not None and span_skipped:
+            if events is not None and span_skipped:
                 # Candidates no state discovered at all: window-rejected
                 # everywhere, so the search never generated them.
                 for cand in sorted(span_skipped):
                     if cand not in pair_cache:
-                        prov.record_pruned(
-                            decode_extended(cand),
-                            site="max_span",
-                            level=num_tokens + 1,
-                            root=cand_root(cand),
-                        )
+                        events.killed("max_span", num_tokens + 1, cand)
             return {
                 cand: (weight_of[cand], sids_of[cand]) for cand in weight_of
             }
@@ -1078,24 +998,15 @@ class PTPMiner:
                 candidates = root_candidates
             else:
                 counters.nodes_expanded += 1
-                if progress is not None:
-                    progress.tick(
-                        depth=num_tokens,
-                        patterns=counters.patterns_emitted,
-                        candidates=counters.candidates_considered,
-                        pruned=counters.pruned_pair,
-                    )
                 if postfix_prune:
                     # O(1) branch bound: at most len(proj) sequences of at
                     # most max_weight each can support any descendant.
                     if len(proj) * max_weight + _EPS < threshold_box[0]:
                         counters.pruned_postfix_branches += 1
-                        if prov is not None and num_tokens > 0:
-                            prov.record_pruned(
-                                str(decode_pattern()),
-                                site="postfix_branch",
-                                level=num_tokens,
-                                root=prov_root[0],
+                        if events is not None:
+                            events.killed(
+                                "postfix_branch",
+                                num_tokens,
                                 support=len(proj) * max_weight,
                                 threshold=threshold_box[0],
                             )
@@ -1104,45 +1015,30 @@ class PTPMiner:
                     self.max_tokens is not None
                     and num_tokens >= self.max_tokens
                 ):
-                    if prov is not None and num_tokens > 0:
-                        prov.record_pruned(
-                            str(decode_pattern()),
-                            site="max_tokens",
-                            level=num_tokens,
-                            root=prov_root[0],
-                        )
+                    if events is not None:
+                        events.killed("max_tokens", num_tokens)
                     return
                 if obs_on:
                     with obs_span("extend", depth=num_tokens):
                         candidates = gather_candidates(proj, last_token)
-                    for obs_cand in candidates:
-                        candidates_by_ext[obs_cand[0]] += 1
-                    if registry is not None:
-                        registry.histogram(
-                            "search.candidates_per_node",
-                            buckets=_CANDIDATE_BUCKETS,
-                        ).observe(len(candidates))
                 else:
                     candidates = gather_candidates(proj, last_token)
-                if cost is not None:
-                    # Funnel rows are keyed by *candidate* level (= the
-                    # pattern length an extension would reach), so a
-                    # node at depth d feeds row d+1 — the same row its
-                    # frequent survivors and emitted patterns land in.
-                    cost.record_node(num_tokens + 1, len(candidates))
+                if events is not None:
+                    events.node(num_tokens, candidates)
             if at_root and root_gather_out is not None:
                 root_gather_out.append(candidates)
                 return
             proj_map = dict(proj)
             for cand in sorted(candidates):
+                if at_root and events is not None:
+                    events.enter_root(cand)
                 weight, sids = candidates[cand]
                 if weight + _EPS < threshold_box[0]:
-                    if prov is not None:
-                        prov.record_pruned(
-                            decode_extended(cand),
-                            site="support",
-                            level=num_tokens + 1,
-                            root=cand_root(cand),
+                    if events is not None:
+                        events.killed(
+                            "support",
+                            num_tokens + 1,
+                            cand,
                             support=_tidy(weight),
                             threshold=threshold_box[0],
                         )
@@ -1155,26 +1051,9 @@ class PTPMiner:
                     and kind != FINISH
                     and num_occurrences >= self.max_size
                 ):
-                    if prov is not None:
-                        prov.record_pruned(
-                            decode_extended(cand),
-                            site="max_size",
-                            level=num_tokens + 1,
-                            root=cand_root(cand),
-                        )
+                    if events is not None:
+                        events.killed("max_size", num_tokens + 1, cand)
                     continue
-                if prov is not None and at_root:
-                    prov_root[0] = str(encoded.decode_token((sym, pocc)))
-                if cost is not None:
-                    if at_root:
-                        # Root attribution brackets the whole subtree:
-                        # counter deltas and wall time from here to the
-                        # end of the backtrack. Each root is expanded
-                        # exactly once (in one shard, or serially), so
-                        # merged profiles are unions, never sums.
-                        root_wall_t0 = obs_clock.now()
-                        root_counters_t0 = counters.as_dict()
-                    cost.record_frequent(num_tokens + 1)
                 counters.candidates_frequent += 1
                 if obs_on:
                     with obs_span(
@@ -1183,12 +1062,10 @@ class PTPMiner:
                         depth=num_tokens + 1,
                     ):
                         new_proj = project(proj_map, cand, sids)
-                    depth = num_tokens + 1
-                    states_by_depth[depth] = states_by_depth.get(
-                        depth, 0
-                    ) + sum(len(states) for _sid, states in new_proj)
                 else:
                     new_proj = project(proj_map, cand, sids)
+                if events is not None:
+                    events.frequent(num_tokens + 1, new_proj)
                 # --- apply the extension to the pattern state ----------
                 if ext == _S_EXT:
                     pointsets.append([(sym, pocc)])
@@ -1206,53 +1083,17 @@ class PTPMiner:
                     del open_start_ps[(lab, pocc)]
                 if not open_start_ps:
                     counters.patterns_emitted += 1
-                    if cost is not None:
-                        cost.record_pattern(num_tokens)
-                    if obs_on:
-                        patterns_by_length[num_tokens] = (
-                            patterns_by_length.get(num_tokens, 0) + 1
-                        )
                     pattern = decode_pattern()
                     if contracts.checking:
-                        _check_emitted_pattern(pattern, num_tokens)
+                        _check_emitted_pattern(
+                            pattern, num_tokens, weight, weights, new_proj
+                        )
                     results.append(
                         PatternWithSupport(pattern, _tidy(weight))
                     )
-                    if prov is not None:
-                        # Every supporter survives projection of a
-                        # complete pattern (no pending occurrence, so
-                        # dead-state elimination never fires), hence
-                        # new_proj carries the full support set; the
-                        # first state's used-set is one concrete
-                        # embedding — the witness.
-                        supp_sids = [s for s, _sts in new_proj]
-                        if contracts.checking:
-                            contracts.check(
-                                abs(
-                                    sum(weights[s] for s in supp_sids)
-                                    - weight
-                                )
-                                <= 1e-6,
-                                "recorded support set disagrees with the "
-                                "reported support",
-                                details=lambda: (
-                                    f"{pattern}: sids={supp_sids}, "
-                                    f"support={weight}"
-                                ),
-                            )
-                        prov.record_emitted(
-                            str(pattern),
-                            _tidy(weight),
-                            supp_sids,
-                            {
-                                s: [
-                                    (encoded.labels[wlab], wsocc)
-                                    for wlab, wsocc in sts[0].used
-                                ]
-                                for s, sts in new_proj
-                            },
-                            root=prov_root[0],
-                            level=num_tokens,
+                    if events is not None:
+                        events.emitted(
+                            num_tokens, pattern, _tidy(weight), new_proj
                         )
                     if on_emit is not None:
                         on_emit(pattern, weight)
@@ -1282,13 +1123,6 @@ class PTPMiner:
                     pointsets.pop()
                 else:
                     pointsets[-1].pop()
-                if cost is not None and at_root:
-                    cost.record_root(
-                        str(encoded.decode_token((sym, pocc))),
-                        obs_clock.now() - root_wall_t0,
-                        root_counters_t0,
-                        counters.as_dict(),
-                    )
 
         root = [
             (seq.sid, (EMPTY_STATE,))
@@ -1296,43 +1130,35 @@ class PTPMiner:
             if seq.pointsets and weights[seq.sid] > 0
         ]
         dfs(root, None)
-        if progress is not None:
-            progress.finish(
-                depth=0,
-                patterns=counters.patterns_emitted,
-                candidates=counters.candidates_considered,
-                pruned=counters.pruned_pair,
-            )
-        if registry is not None:
-            for depth, touched in sorted(states_by_depth.items()):
-                registry.counter(
-                    "search.states_by_depth", depth=depth
-                ).inc(touched)
-            for length, count in sorted(patterns_by_length.items()):
-                registry.counter(
-                    "search.patterns_by_length", tokens=length
-                ).inc(count)
-            for ext_kind, ext_name in ((_I_EXT, "I"), (_S_EXT, "S")):
-                registry.counter("search.candidates", ext=ext_name).inc(
-                    candidates_by_ext[ext_kind]
-                )
-                registry.counter("search.pruned_pair", ext=ext_name).inc(
-                    pruned_by_ext[ext_kind]
-                )
-            if dedupe_stats:
-                registry.counter("search.states_deduped").inc(
-                    dedupe_stats.get("states_deduped", 0)
-                )
+        if events is not None:
+            events.done()
         return results
 
 
-def _check_emitted_pattern(pattern: TemporalPattern, num_tokens: int) -> None:
-    """Contract: an emitted pattern is well-formed, complete, canonical.
+def _check_emitted_pattern(
+    pattern: TemporalPattern,
+    num_tokens: int,
+    weight: float,
+    weights: Sequence[float],
+    projected: list[tuple[int, tuple[State, ...]]],
+) -> None:
+    """Contract: an emitted pattern is well-formed, complete, canonical,
+    and its projection holds its whole support set.
 
     Validity-during-generation means the search should never need a
     post-hoc validation scan — this check proves it keeps that promise
-    whenever runtime contracts are enabled.
+    whenever runtime contracts are enabled. Every supporter survives
+    projection of a complete pattern (no pending occurrence, so
+    dead-state elimination never fires), which is what lets provenance
+    read the support set and one witness per sequence off the
+    projection.
     """
+    sids = [sid for sid, _states in projected]
+    contracts.check(
+        abs(sum(weights[sid] for sid in sids) - weight) <= 1e-6,
+        "recorded support set disagrees with the reported support",
+        details=lambda: f"{pattern}: sids={sids}, support={weight}",
+    )
     try:
         TemporalPattern(pattern.pointsets, validate=True)
     except ValueError as exc:

@@ -35,10 +35,14 @@ Executors
 
 Observability merge semantics
 -----------------------------
-Workers run with private, freshly scoped tracers/registries (never the
-parent's — a forked child must not write to inherited handles). Each
-shard ships its trace events and metrics snapshot home, where the
-parent:
+The parent's installed collectors become one picklable spec
+(:func:`repro.obs.installed`, a set of names). A worker first drops
+whatever it inherited (:func:`repro.obs.silence` — a forked child must
+not write to inherited handles), then runs each shard under fresh
+private collectors of the same kinds (:func:`repro.obs.collect`) and
+ships their snapshots home as one :attr:`ShardResult.obs` dict. The
+serial executor takes the same path in-process. The parent folds each
+shard in with one call, :func:`repro.obs.absorb_shard`, in shard order:
 
 * re-emits trace events with span ids rewritten to ``"shard<i>:<id>"``
   and orphan parents re-hung under the engine's dispatching span, so
@@ -48,7 +52,13 @@ parent:
   counters add across shards, histograms merge bound-for-bound;
 * records one ``engine.shard_elapsed_s[shard=<i>]`` gauge per shard, so
   metrics snapshots carry the load-balance picture (the harness's
-  ``shard_imbalance`` column derives from them).
+  ``shard_imbalance`` column derives from them);
+* absorbs cost and provenance snapshots as keyed unions, so they equal
+  a serial run's bit for bit.
+
+A worker process that dies breaks the pool; the engine then raises
+:class:`ShardCrashError`, naming every unfinished shard and its root
+tokens, instead of returning the shards that did finish.
 
 Live telemetry
 --------------
@@ -56,7 +66,9 @@ Live telemetry
 :func:`repro.obs.live.use_live` scope — what the CLI's ``--live`` and
 the harness's ``collect_live=True`` use) streams worker heartbeats to
 the parent **during** the run over the :mod:`repro.obs.live` bus:
-workers publish throttled frames from a per-root-candidate hook, the
+workers publish throttled frames as each root candidate finishes (the
+worker's :class:`~repro.obs.live.LiveSink` subscribes to the search's
+``root_done`` event), the
 parent drains them from its result-collection loop (a ``multiprocessing``
 manager queue for the process executor, a direct callback for the
 serial one), and a :class:`~repro.obs.live.LiveAggregator` merges them
@@ -71,11 +83,12 @@ import multiprocessing
 import queue as _queue
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
-from repro import contracts
+from repro import contracts, obs
 from repro.core.config import MinerConfig
 from repro.core.pruning import PruneCounters
 from repro.core.ptpminer import (
@@ -87,15 +100,14 @@ from repro.core.ptpminer import (
 from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport
 from repro.obs import clock as obs_clock
-from repro.obs import costmodel as obs_costmodel
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
-from repro.obs import provenance as obs_provenance
 from repro.obs import trace as obs_trace
+from repro.temporal.endpoint import EncodedDatabase
 
 __all__ = [
     "EXECUTORS",
+    "ShardCrashError",
     "ShardResult",
     "ShardTask",
     "ShardedMiner",
@@ -137,21 +149,37 @@ class ShardTask:
 
 @dataclass(slots=True)
 class ShardResult:
-    """What one shard sends home to be merged."""
+    """What one shard sends home to be merged.
+
+    ``obs`` is the worker's :func:`repro.obs.collect` snapshot — one
+    entry per collector the parent had installed — which the parent
+    folds in with :func:`repro.obs.absorb_shard`.
+    """
 
     shard: int
     patterns: list[PatternWithSupport]
     counters: PruneCounters
-    metrics: dict[str, Any] = field(default_factory=dict)
-    trace_events: list[dict[str, Any]] = field(default_factory=list)
+    obs: dict[str, Any] = field(default_factory=dict)
     elapsed: float = 0.0
-    #: Cost-profile snapshot (``CostCollector.snapshot()``), shipped
-    #: home exactly like ``metrics`` and absorbed by the parent.
-    cost: dict[str, Any] = field(default_factory=dict)
-    #: Provenance snapshot (``ProvenanceCollector.snapshot()``), same
-    #: channel: per-shard records cover disjoint subtrees, so the
-    #: parent's merge is a keyed union, order-independent.
-    provenance: dict[str, Any] = field(default_factory=dict)
+
+
+class ShardCrashError(RuntimeError):
+    """A worker process died before its shards finished.
+
+    ``shards`` maps each unfinished shard id to the text of its root
+    candidates' tokens, so the failure names the subtrees that were
+    never mined rather than returning a partial result.
+    """
+
+    def __init__(self, shards: dict[int, list[str]]) -> None:
+        self.shards = shards
+        listing = "; ".join(
+            f"shard {shard} (roots {', '.join(roots)})"
+            for shard, roots in sorted(shards.items())
+        )
+        super().__init__(
+            f"a worker process died; unfinished: {listing}"
+        )
 
 
 def plan_shards(
@@ -200,69 +228,54 @@ _WORKER_PAYLOAD: dict[str, Any] = {}
 def _init_worker(
     db: ESequenceDatabase,
     weights: Sequence[float],
-    collect_metrics: bool,
-    collect_trace: bool,
-    collect_cost: bool = False,
-    collect_provenance: bool = False,
+    collectors: frozenset[str],
     live_queue: Optional[Any] = None,
     live_interval: float = 0.5,
 ) -> None:
     """Pool initializer: receive the database once, silence inherited obs.
 
-    A forked child inherits the parent's installed tracer / registry /
-    progress reporter; writing to those copies would be lost at best and
-    interleave with the parent's output at worst, so the worker starts
-    observability from a clean slate and scopes its own per-shard
-    collectors in :func:`_run_shard`. ``live_queue`` (a manager-queue
-    proxy, present only in live mode) is where the worker's
-    :class:`~repro.obs.live.LiveSink` publishes heartbeat frames.
+    A forked child inherits the parent's installed collectors; writing
+    to those copies would be lost at best and interleave with the
+    parent's output at worst, so the worker starts observability from a
+    clean slate and scopes its own per-shard ``collectors`` (the
+    parent's :func:`repro.obs.installed` spec) in :func:`_run_shard`.
+    ``live_queue`` (a manager-queue proxy, present only in live mode)
+    is where the worker's :class:`~repro.obs.live.LiveSink` publishes
+    heartbeat frames.
     """
-    obs_trace.set_tracer(None)
-    obs_metrics.set_registry(None)
-    obs_progress.set_reporter(None)
-    obs_live.set_live(None)
-    obs_costmodel.set_collector(None)
-    obs_provenance.set_collector(None)
+    obs.silence()
+    _init_payload_inline(
+        db,
+        weights,
+        collectors,
+        live_publish=None if live_queue is None else live_queue.put,
+        live_interval=live_interval,
+    )
+
+
+def _init_payload_inline(
+    db: ESequenceDatabase,
+    weights: Sequence[float],
+    collectors: frozenset[str],
+    *,
+    live_publish: Optional[Callable[[dict[str, Any]], None]] = None,
+    live_interval: float = 0.5,
+) -> None:
+    """Point the payload at this run's data (no obs silencing).
+
+    The serial executor calls this directly: same process, so
+    ``live_publish`` feeds frames straight to the parent aggregator.
+    """
     _WORKER_PAYLOAD["db"] = db
     _WORKER_PAYLOAD["weights"] = list(weights)
-    _WORKER_PAYLOAD["collect_metrics"] = collect_metrics
-    _WORKER_PAYLOAD["collect_trace"] = collect_trace
-    _WORKER_PAYLOAD["collect_cost"] = collect_cost
-    _WORKER_PAYLOAD["collect_provenance"] = collect_provenance
-    _WORKER_PAYLOAD["live_publish"] = (
-        None if live_queue is None else live_queue.put
-    )
+    _WORKER_PAYLOAD["collectors"] = collectors
+    _WORKER_PAYLOAD["live_publish"] = live_publish
     _WORKER_PAYLOAD["live_interval"] = live_interval
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
     """Expand one shard (runs inside a worker process, or in-process)."""
-    db: ESequenceDatabase = _WORKER_PAYLOAD["db"]
-    weights: list[float] = _WORKER_PAYLOAD["weights"]
-    collector = (
-        obs_trace.TraceCollector()
-        if _WORKER_PAYLOAD["collect_trace"]
-        else None
-    )
-    registry = (
-        obs_metrics.MetricsRegistry()
-        if _WORKER_PAYLOAD["collect_metrics"]
-        else None
-    )
-    # A private collector even on the serial executor: the parent's
-    # collector stays shadowed during the search and the snapshot comes
-    # home through ShardResult, so both executors merge identically.
-    cost = (
-        obs_costmodel.CostCollector()
-        if _WORKER_PAYLOAD.get("collect_cost")
-        else None
-    )
-    prov = (
-        obs_provenance.ProvenanceCollector()
-        if _WORKER_PAYLOAD.get("collect_provenance")
-        else None
-    )
-    publish = _WORKER_PAYLOAD.get("live_publish")
+    publish = _WORKER_PAYLOAD["live_publish"]
     sink = (
         None
         if publish is None
@@ -270,43 +283,30 @@ def _run_shard(task: ShardTask) -> ShardResult:
             task.shard,
             len(task.candidates),
             publish,
-            min_interval_s=_WORKER_PAYLOAD.get("live_interval", 0.5),
+            min_interval_s=_WORKER_PAYLOAD["live_interval"],
         )
     )
     miner = PTPMiner.from_config(task.config)
     started = obs_clock.now()
+    # Private collectors even on the serial executor: the parent's stay
+    # shadowed during the search and the snapshots come home through
+    # ShardResult, so both executors merge identically.
     with ExitStack() as stack:
-        if registry is not None:
-            stack.enter_context(obs_metrics.use_registry(registry))
-        if collector is not None:
-            stack.enter_context(obs_trace.use_tracer(collector))
-        if cost is not None:
-            stack.enter_context(obs_costmodel.use_collector(cost))
-        if prov is not None:
-            stack.enter_context(obs_provenance.use_collector(prov))
+        snapshot = stack.enter_context(
+            obs.collect(_WORKER_PAYLOAD["collectors"])
+        )
+        if sink is not None:  # it publishes each root, then a final frame
+            stack.enter_context(
+                obs_live.use_live(obs_live.LiveCollector(sink=sink))
+            )
         patterns, counters = miner.search_shard(
-            db,
-            weights,
+            _WORKER_PAYLOAD["db"],
+            _WORKER_PAYLOAD["weights"],
             task.threshold,
             task.candidate_map(),
-            on_root=None if sink is None else sink.on_root,
-        )
-    if sink is not None:
-        sink.finish(
-            len(patterns),
-            {k: float(v) for k, v in counters.as_dict().items()},
         )
     elapsed = obs_clock.now() - started
-    return ShardResult(
-        shard=task.shard,
-        patterns=patterns,
-        counters=counters,
-        metrics=registry.snapshot() if registry is not None else {},
-        trace_events=collector.events if collector is not None else [],
-        elapsed=elapsed,
-        cost=cost.snapshot() if cost is not None else {},
-        provenance=prov.snapshot() if prov is not None else {},
-    )
+    return ShardResult(task.shard, patterns, counters, snapshot, elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -322,88 +322,88 @@ def _run_process(
     db: ESequenceDatabase,
     weights: Sequence[float],
     workers: int,
-    collect_metrics: bool,
-    collect_trace: bool,
-    collect_cost: bool = False,
-    collect_provenance: bool = False,
+    collectors: frozenset[str],
     live_queue: Optional[Any] = None,
     live_interval: float = 0.5,
     on_frame: Optional[Callable[[dict[str, Any]], None]] = None,
 ) -> list[ShardResult]:
     """Run shards on a process pool, shipping the database once per worker.
 
-    In live mode (``live_queue`` + ``on_frame`` given) the shards are
-    submitted individually and the parent drains heartbeat frames off
-    the queue *while* waiting for results — the telemetry bus needs no
-    extra thread, just this loop's blocking ``get(timeout=...)``.
+    One future per task. In live mode (``live_queue`` + ``on_frame``
+    given) the parent drains heartbeat frames off the queue *while*
+    waiting for results — the telemetry bus needs no extra thread, just
+    this loop's blocking ``get(timeout=...)``. A worker that dies
+    (``BrokenProcessPool``) surfaces as :class:`ShardCrashError`.
     """
     # The one sanctioned process-pool construction site (lint rule R008).
     with ProcessPoolExecutor(
         max_workers=min(workers, len(tasks)),
         initializer=_init_worker,
-        initargs=(
-            db,
-            weights,
-            collect_metrics,
-            collect_trace,
-            collect_cost,
-            collect_provenance,
-            live_queue,
-            live_interval,
-        ),
+        initargs=(db, weights, collectors, live_queue, live_interval),
     ) as pool:
-        if live_queue is None or on_frame is None:
-            return list(pool.map(_run_shard, tasks))
         futures = [pool.submit(_run_shard, task) for task in tasks]
-        pending = set(futures)
-        poll_s = max(0.05, live_interval / 2)
-        while pending:
-            try:
-                payload = live_queue.get(timeout=poll_s)
-            except _queue.Empty:
-                pass
-            else:
+        if live_queue is not None and on_frame is not None:
+            pending = set(futures)
+            poll_s = max(0.05, live_interval / 2)
+            while pending:
+                try:
+                    payload = live_queue.get(timeout=poll_s)
+                except _queue.Empty:
+                    pass
+                else:
+                    on_frame(payload)
+                pending = {f for f in pending if not f.done()}
+            while True:  # drain whatever arrived after the last result
+                try:
+                    payload = live_queue.get_nowait()
+                except _queue.Empty:
+                    break
                 on_frame(payload)
-            pending = {f for f in pending if not f.done()}
-        while True:  # drain whatever arrived after the last result
-            try:
-                payload = live_queue.get_nowait()
-            except _queue.Empty:
-                break
-            on_frame(payload)
-        return [future.result() for future in futures]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            unfinished = [
+                task
+                for task, future in zip(tasks, futures, strict=True)
+                if not future.done()
+                or future.cancelled()
+                or future.exception() is not None
+            ]
+            raise ShardCrashError(
+                _root_tokens(db, unfinished)
+            ) from exc
 
 
-def _reemit_shard_trace(
-    tracer: obs_trace.Tracer,
-    result: ShardResult,
-    parent_span: Optional[int],
-) -> None:
-    """Replay a worker's span events into the parent trace.
-
-    Span ids are rewritten to ``"shard<i>:<id>"`` strings (unique across
-    shards); parent links pointing at spans the worker did not itself
-    open — ``None`` roots, or stale ids inherited through ``fork`` — are
-    re-hung under the engine's dispatching span.
-    """
-    own = {ev["span"] for ev in result.trace_events}
-
-    def remap(span_id: Any) -> Any:
-        if span_id in own:
-            return f"shard{result.shard}:{span_id}"
-        return parent_span
-
-    for event in result.trace_events:
-        rewritten = dict(event)
-        rewritten["span"] = f"shard{result.shard}:{event['span']}"
-        if "parent" in rewritten:
-            rewritten["parent"] = remap(event["parent"])
-        tracer.emit(rewritten)
+def _root_tokens(
+    db: ESequenceDatabase, tasks: Sequence[ShardTask]
+) -> dict[int, list[str]]:
+    """Each task's shard id mapped to its root candidates' token text."""
+    encoded = EncodedDatabase(db)
+    return {
+        task.shard: [
+            str(encoded.decode_token((sym, pocc)))
+            for (_ext, sym, pocc), _support in task.candidates
+        ]
+        for task in tasks
+    }
 
 
 # ----------------------------------------------------------------------
 # the engine entry points
 # ----------------------------------------------------------------------
+def _resolve_executor(workers: int, executor: str) -> str:
+    """Validate ``workers``/``executor``; resolve ``"auto"`` by count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
+        )
+    if executor == "auto":
+        return "serial" if workers == 1 else "process"
+    return executor
+
+
 def _resolve_live(
     live: Union[None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"],
 ) -> Optional[obs_live.LiveCollector]:
@@ -451,25 +451,15 @@ def mine_sharded(
     is unaffected — live mode only changes *when* progress is visible,
     never what is mined.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    resolved = (
-        ("serial" if workers == 1 else "process")
-        if executor == "auto"
-        else executor
-    )
+    resolved = _resolve_executor(workers, executor)
     collector = _resolve_live(live)
     miner = PTPMiner.from_config(config)
     threshold = float(db.absolute_support(config.min_sup))
     weights = [1.0] * len(db)
-    registry = obs_metrics.active_registry()
-    tracer = obs_trace.active_tracer()
-    cost = obs_costmodel.active_collector()
-    prov = obs_provenance.active_collector()
+    collectors = obs.installed()
+    live_interval = (
+        collector.config.interval_s if collector is not None else 0.5
+    )
     started = obs_clock.now()
     with obs_trace.span(
         "mine",
@@ -512,21 +502,14 @@ def mine_sharded(
                     _init_payload_inline(
                         mining_db,
                         weights,
-                        collect_metrics=registry is not None,
-                        collect_trace=tracer is not None,
-                        collect_cost=cost is not None,
-                        collect_provenance=prov is not None,
+                        collectors,
                         live_publish=on_frame,
-                        live_interval=(
-                            collector.config.interval_s
-                            if collector is not None
-                            else 0.5
-                        ),
+                        live_interval=live_interval,
                     )
                     try:
                         shard_results = _run_serial(tasks)
-                    finally:
-                        _clear_payload()
+                    finally:  # don't keep the database alive
+                        _WORKER_PAYLOAD.clear()
                 else:
                     live_queue: Optional[Any] = None
                     if on_frame is not None:
@@ -539,16 +522,9 @@ def mine_sharded(
                         mining_db,
                         weights,
                         workers,
-                        collect_metrics=registry is not None,
-                        collect_trace=tracer is not None,
-                        collect_cost=cost is not None,
-                        collect_provenance=prov is not None,
+                        collectors,
                         live_queue=live_queue,
-                        live_interval=(
-                            collector.config.interval_s
-                            if collector is not None
-                            else 0.5
-                        ),
+                        live_interval=live_interval,
                         on_frame=on_frame,
                     )
             with obs_trace.span("merge", shards=len(shard_results)):
@@ -556,20 +532,12 @@ def mine_sharded(
                 for result in sorted(shard_results, key=lambda r: r.shard):
                     patterns.extend(result.patterns)
                     counters.merge(result.counters)
-                    if tracer is not None:
-                        _reemit_shard_trace(tracer, result, parent_span)
-                    if registry is not None and result.metrics:
-                        registry.absorb_snapshot(
-                            result.metrics, prefix="shard."
-                        )
-                    if registry is not None:
-                        registry.gauge(
-                            "engine.shard_elapsed_s", shard=result.shard
-                        ).set(result.elapsed)
-                    if cost is not None and result.cost:
-                        cost.absorb(result.cost)
-                    if prov is not None and result.provenance:
-                        prov.absorb(result.provenance)
+                    obs.absorb_shard(
+                        result.shard,
+                        result.obs,
+                        elapsed=result.elapsed,
+                        parent_span=parent_span,
+                    )
                 patterns.sort(key=PatternWithSupport.sort_key)
         finally:
             if manager is not None:
@@ -590,7 +558,7 @@ def mine_sharded(
         elapsed=elapsed,
         counters=counters,
         metrics=_run_snapshot(
-            registry,
+            obs_metrics.active_registry(),
             counters,
             patterns=len(patterns),
             elapsed=elapsed,
@@ -605,37 +573,6 @@ def mine_sharded(
             "shards": len(tasks),
         },
     )
-
-
-def _init_payload_inline(
-    db: ESequenceDatabase,
-    weights: Sequence[float],
-    *,
-    collect_metrics: bool,
-    collect_trace: bool,
-    collect_cost: bool = False,
-    collect_provenance: bool = False,
-    live_publish: Optional[Callable[[dict[str, Any]], None]] = None,
-    live_interval: float = 0.5,
-) -> None:
-    """Serial-executor payload setup (no obs silencing: same process).
-
-    ``live_publish`` feeds frames straight to the parent aggregator —
-    the serial path has no queue; the callback is invoked inline.
-    """
-    _WORKER_PAYLOAD["db"] = db
-    _WORKER_PAYLOAD["weights"] = list(weights)
-    _WORKER_PAYLOAD["collect_metrics"] = collect_metrics
-    _WORKER_PAYLOAD["collect_trace"] = collect_trace
-    _WORKER_PAYLOAD["collect_cost"] = collect_cost
-    _WORKER_PAYLOAD["collect_provenance"] = collect_provenance
-    _WORKER_PAYLOAD["live_publish"] = live_publish
-    _WORKER_PAYLOAD["live_interval"] = live_interval
-
-
-def _clear_payload() -> None:
-    """Drop the inline payload so stale databases are not kept alive."""
-    _WORKER_PAYLOAD.clear()
 
 
 class ShardedMiner:
@@ -667,12 +604,7 @@ class ShardedMiner:
             self.config = config
         else:
             self.config = MinerConfig.from_kwargs(min_sup=min_sup, **kwargs)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
+        _resolve_executor(workers, executor)  # fail at construction
         self.workers = workers
         self.executor = executor
         self.live = live

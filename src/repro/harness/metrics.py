@@ -13,14 +13,12 @@ sweeps can attach per-run observability snapshots to their rows.
 from __future__ import annotations
 
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro import obs as _obs
 from repro.obs import clock as _obs_clock
-from repro.obs import costmodel as _obs_costmodel
-from repro.obs import live as _obs_live
-from repro.obs import metrics as _obs_metrics
-from repro.obs import provenance as _obs_provenance
 
 __all__ = ["RunMetrics", "measure"]
 
@@ -30,28 +28,16 @@ class RunMetrics:
     """One measured run of a callable.
 
     ``peak_mem_bytes`` is ``None`` when memory tracking was off — the
-    renderers show "—" rather than a misleading ``0``. ``obs`` holds the
-    run's metrics snapshot when ``collect_obs=True``, else ``None``.
-    ``profile`` holds the serialised per-phase profile
-    (``ProfileReport.as_dict()``) when ``collect_profile=True``.
-    ``workers`` is measurement provenance: how many engine workers the
-    measured callable was configured with (1 for sequential runs) —
-    sweeps surface it as a column so parallel and serial rows are never
-    conflated. ``live_summary`` holds the live telemetry bus's final
-    :meth:`~repro.obs.live.LiveAggregator.summary` (per-shard lanes,
-    shard imbalance, stragglers) when ``collect_live=True`` and the
-    measured callable actually ran the sharded engine, else ``None``.
-    ``cost_profile`` holds the per-root / per-level search cost snapshot
-    (:meth:`~repro.obs.costmodel.CostCollector.snapshot`) when
-    ``collect_cost=True``; callables that never run the instrumented
-    search leave its ``roots``/``levels`` empty. ``config_fingerprint``
-    is provenance stamped by the caller (see
-    :func:`repro.obs.ledger.config_fingerprint`) so measured rows can
-    be joined against ledger entries; ``measure`` never computes it.
-    ``provenance`` holds the pattern provenance / prune-decision snapshot
-    (:meth:`~repro.obs.provenance.ProvenanceCollector.snapshot`) when
-    ``collect_provenance=True``; callables that never run the
-    instrumented search leave its ``patterns``/``pruned`` maps empty.
+    renderers show "—" rather than a misleading ``0``. Each snapshot
+    field (``obs``, ``profile``, ``live_summary``, ``cost_profile``,
+    ``provenance``) is ``None`` unless :func:`measure` collected it;
+    ``live_summary`` also stays ``None`` when the callable never ran
+    the sharded engine. ``workers`` (engine workers the callable was
+    configured with, 1 for sequential runs) and ``config_fingerprint``
+    (:func:`repro.obs.ledger.config_fingerprint`) are provenance stamped
+    by the caller: sweeps surface ``workers`` as a column so parallel
+    and serial rows are never conflated, and the fingerprint joins
+    measured rows against ledger entries.
     """
 
     result: Any
@@ -125,13 +111,11 @@ def measure(
     * ``collect_profile=True`` inflates ``elapsed_s`` (cProfile hooks
       every call; tracemalloc every allocation) — profile numbers
       attribute cost, they are not benchmark timings.
-    * ``collect_cost=True`` adds per-candidate recording inside the
-      search (a dict update per frequent candidate); the cost is small
-      but real, so benchmark timings keep it off, same as the registry.
     * ``collect_provenance=True`` records every emitted pattern's
-      support set and every prune decision — the heaviest of the
-      collectors by memory (one entry per candidate), so benchmark
-      timings keep it off too.
+      support set and every prune decision: the heaviest collector by
+      memory and time (×1.4 on scalebench's hybrid-observed, where cost
+      and metrics are not separable from 1), so benchmark timings keep
+      every collector off.
     * If tracemalloc is *already tracing* when ``measure`` is called
       (nested ``measure``, or an enclosing
       :func:`~repro.obs.profile.profile_scope`), the inner call reuses
@@ -150,110 +134,54 @@ def measure(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if collect_profile:
-        from repro.obs.profile import profile_scope
+    names = {
+        name
+        for name, wanted in (
+            ("metrics", collect_obs),
+            ("cost", collect_cost),
+            ("provenance", collect_provenance),
+        )
+        if wanted
+    }
+    with ExitStack() as stack:
+        profiler = None
+        if collect_profile:
+            from repro.obs.profile import profile_scope
 
-        with profile_scope(memory=track_memory) as profiler:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_obs=collect_obs,
-                collect_live=collect_live,
-                collect_cost=collect_cost,
-                collect_provenance=collect_provenance,
-                fingerprint=fingerprint,
+            profiler = stack.enter_context(
+                profile_scope(memory=track_memory)
             )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            inner.obs,
-            profiler.report().as_dict(),
-            workers,
-            inner.live_summary,
-            cost_profile=inner.cost_profile,
-            config_fingerprint=fingerprint,
-            provenance=inner.provenance,
-        )
-    if collect_obs:
-        with _obs_metrics.use_registry() as registry:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_live=collect_live,
-                collect_cost=collect_cost,
-                collect_provenance=collect_provenance,
-                fingerprint=fingerprint,
+        snapshots = stack.enter_context(_obs.collect(names))
+        live = (
+            stack.enter_context(
+                _obs.use_live(_obs.LiveConfig(render=False))
             )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            registry.snapshot(),
-            workers=workers,
-            live_summary=inner.live_summary,
-            cost_profile=inner.cost_profile,
-            config_fingerprint=fingerprint,
-            provenance=inner.provenance,
+            if collect_live
+            else None
         )
-    if collect_cost:
-        with _obs_costmodel.use_collector() as cost_collector:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_live=collect_live,
-                collect_provenance=collect_provenance,
-                fingerprint=fingerprint,
-            )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            workers=workers,
-            live_summary=inner.live_summary,
-            cost_profile=cost_collector.snapshot(),
-            config_fingerprint=fingerprint,
-            provenance=inner.provenance,
-        )
-    if collect_provenance:
-        with _obs_provenance.use_collector() as prov_collector:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_live=collect_live,
-                fingerprint=fingerprint,
-            )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            workers=workers,
-            live_summary=inner.live_summary,
-            config_fingerprint=fingerprint,
-            provenance=prov_collector.snapshot(),
-        )
-    if collect_live:
-        live_config = _obs_live.LiveConfig(render=False)
-        with _obs_live.use_live(live_config) as live_collector:
-            inner = measure(fn, track_memory=track_memory)
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            workers=workers,
-            live_summary=live_collector.summary,
-            config_fingerprint=fingerprint,
-        )
+        result, elapsed, peak_mem_bytes = _run(fn, track_memory)
+    return RunMetrics(
+        result,
+        elapsed,
+        peak_mem_bytes,
+        obs=snapshots.get("metrics"),
+        profile=None if profiler is None else profiler.report().as_dict(),
+        workers=workers,
+        live_summary=None if live is None else live.summary,
+        cost_profile=snapshots.get("cost"),
+        config_fingerprint=fingerprint,
+        provenance=snapshots.get("provenance"),
+    )
+
+
+def _run(
+    fn: Callable[[], Any], track_memory: bool
+) -> tuple[Any, float, Optional[int]]:
+    """Call ``fn``: its result, wall seconds and peak heap growth."""
     if not track_memory:
         started = _obs_clock.now()
         result = fn()
-        return RunMetrics(
-            result,
-            _obs_clock.now() - started,
-            None,
-            workers=workers,
-            config_fingerprint=fingerprint,
-        )
+        return result, _obs_clock.now() - started, None
     already_tracing = tracemalloc.is_tracing()
     if not already_tracing:
         tracemalloc.start()
@@ -267,10 +195,4 @@ def measure(
     finally:
         if not already_tracing:
             tracemalloc.stop()
-    return RunMetrics(
-        result,
-        elapsed,
-        max(0, peak - base),
-        workers=workers,
-        config_fingerprint=fingerprint,
-    )
+    return result, elapsed, max(0, peak - base)

@@ -46,7 +46,11 @@ def _parse_number(text: str) -> float:
 
 def read_csv(path: str | os.PathLike, name: str = "") -> ESequenceDatabase:
     """Read a database written by :func:`write_csv` (or any file with the
-    same ``sid,label,start,finish`` header)."""
+    same ``sid,label,start,finish`` header).
+
+    Every malformed row raises a :class:`ValueError` that starts with
+    ``{path}:{line}:``.
+    """
     rows: dict[int, list[IntervalEvent]] = {}
     max_sid = -1
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -60,17 +64,19 @@ def read_csv(path: str | os.PathLike, name: str = "") -> ESequenceDatabase:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 columns")
-            sid = int(row[0])
-            if sid < 0:
-                raise ValueError(f"{path}:{line_no}: negative sid {sid}")
-            max_sid = max(max_sid, sid)
-            rows.setdefault(sid, []).append(
-                IntervalEvent(
+            try:
+                if len(row) != 4:
+                    raise ValueError("expected 4 columns")
+                sid = int(row[0])
+                if sid < 0:
+                    raise ValueError(f"negative sid {sid}")
+                event = IntervalEvent(
                     _parse_number(row[2]), _parse_number(row[3]), row[1]
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            max_sid = max(max_sid, sid)
+            rows.setdefault(sid, []).append(event)
     sequences = [
         ESequence(rows.get(sid, [])) for sid in range(max_sid + 1)
     ]

@@ -39,7 +39,11 @@ def write_jsonl(db: ESequenceDatabase, path: str | os.PathLike) -> None:
 
 
 def read_jsonl(path: str | os.PathLike) -> ESequenceDatabase:
-    """Read a database written by :func:`write_jsonl`."""
+    """Read a database written by :func:`write_jsonl`.
+
+    Every malformed line raises a :class:`ValueError` that starts with
+    ``{path}:{line}:``.
+    """
     name = ""
     sequences: list[ESequence] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -47,24 +51,26 @@ def read_jsonl(path: str | os.PathLike) -> ESequenceDatabase:
             line = raw.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "_meta" in record:
-                meta = record["_meta"]
-                if meta.get("format") not in (None, FORMAT_TAG):
-                    raise ValueError(
-                        f"{path}:{line_no}: unsupported format tag "
-                        f"{meta.get('format')!r}"
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("expected a JSON object")
+                if "_meta" in record:
+                    meta = record["_meta"]
+                    if meta.get("format") not in (None, FORMAT_TAG):
+                        raise ValueError(
+                            f"unsupported format tag {meta.get('format')!r}"
+                        )
+                    name = meta.get("name", "")
+                    continue
+                if "events" not in record:
+                    raise ValueError("record lacks an 'events' field")
+                sequences.append(
+                    ESequence(
+                        IntervalEvent(start, finish, label)
+                        for start, finish, label in record["events"]
                     )
-                name = meta.get("name", "")
-                continue
-            if "events" not in record:
-                raise ValueError(
-                    f"{path}:{line_no}: record lacks an 'events' field"
                 )
-            sequences.append(
-                ESequence(
-                    IntervalEvent(start, finish, label)
-                    for start, finish, label in record["events"]
-                )
-            )
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return ESequenceDatabase(sequences, name=name)

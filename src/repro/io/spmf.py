@@ -55,7 +55,11 @@ def _parse_number(text: str) -> float:
 
 
 def read_spmf(path: str | os.PathLike) -> ESequenceDatabase:
-    """Read a database written by :func:`write_spmf`."""
+    """Read a database written by :func:`write_spmf`.
+
+    Every malformed line raises a :class:`ValueError` that starts with
+    ``{path}:{line}:``.
+    """
     labels: dict[int, str] = {}
     name = ""
     sequences: list[ESequence] = []
@@ -64,45 +68,45 @@ def read_spmf(path: str | os.PathLike) -> ESequenceDatabase:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("@"):
+            try:
                 if line.startswith("@ITEM="):
                     _, idx_text, label = line.split("=", 2)
                     labels[int(idx_text)] = label
                 elif line.startswith("@NAME="):
                     name = line[len("@NAME="):]
-                continue
-            tokens = line.split()
-            if tokens[-1] != "-2":
-                raise ValueError(
-                    f"{path}:{line_no}: sequence line must end with -2"
-                )
-            events = []
-            fields: list[str] = []
-            for token in tokens[:-1]:
-                if token == "-1":
-                    if len(fields) != 3:
-                        raise ValueError(
-                            f"{path}:{line_no}: expected "
-                            f"'<id> <start> <finish> -1', got {fields}"
-                        )
-                    label_id = int(fields[0])
-                    if label_id not in labels:
-                        raise ValueError(
-                            f"{path}:{line_no}: unknown item id {label_id}"
-                        )
-                    events.append(
-                        IntervalEvent(
-                            _parse_number(fields[1]),
-                            _parse_number(fields[2]),
-                            labels[label_id],
-                        )
-                    )
-                    fields = []
-                else:
-                    fields.append(token)
-            if fields:
-                raise ValueError(
-                    f"{path}:{line_no}: trailing tokens {fields} before -2"
-                )
-            sequences.append(ESequence(events))
+                elif not line.startswith("@"):
+                    sequences.append(ESequence(_parse_events(line, labels)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return ESequenceDatabase(sequences, name=name)
+
+
+def _parse_events(line: str, labels: dict[int, str]) -> list[IntervalEvent]:
+    """The events of one ``<id> <start> <finish> -1 ... -2`` line."""
+    tokens = line.split()
+    if tokens[-1] != "-2":
+        raise ValueError("sequence line must end with -2")
+    events = []
+    fields: list[str] = []
+    for token in tokens[:-1]:
+        if token != "-1":
+            fields.append(token)
+            continue
+        if len(fields) != 3:
+            raise ValueError(
+                f"expected '<id> <start> <finish> -1', got {fields}"
+            )
+        label_id = int(fields[0])
+        if label_id not in labels:
+            raise ValueError(f"unknown item id {label_id}")
+        events.append(
+            IntervalEvent(
+                _parse_number(fields[1]),
+                _parse_number(fields[2]),
+                labels[label_id],
+            )
+        )
+        fields = []
+    if fields:
+        raise ValueError(f"trailing tokens {fields} before -2")
+    return events

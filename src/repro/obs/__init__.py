@@ -6,8 +6,16 @@ nothing is installed by default, instrumented code guards every
 recording site with one local ``None`` check, and enabling is always
 explicit and scoped.
 
+The search reaches every collector as a subscriber of one
+:class:`~repro.obs.events.SearchEvents` stream. Collectors install
+through one table: :func:`observe` and :func:`collect` for a scope,
+plus :func:`installed`, :func:`silence` and :func:`absorb_shard` for
+the sharded engine's workers and merge.
+
 Submodules
 ----------
+:mod:`repro.obs.events`
+    The search-event stream and its subscribers.
 :mod:`repro.obs.clock`
     The single injectable monotonic clock every timestamp flows through.
 :mod:`repro.obs.trace`
@@ -35,8 +43,9 @@ Submodules
     ``why-not`` / ``diff --patterns``).
 :mod:`repro.obs.seam`
     The :class:`~repro.obs.seam.CollectorSeam` primitive behind every
-    module-global sink (metrics, costmodel, provenance): ``active()``,
-    ``install()``, and scoped ``scope()`` defined exactly once.
+    module-global sink (metrics, costmodel, provenance, progress,
+    live): ``active()``, ``install()``, and scoped ``scope()`` defined
+    exactly once.
 :mod:`repro.obs.ledger`
     Persistent append-only run ledger with config/environment
     fingerprints and cross-run regression diffing (imported on
@@ -49,11 +58,10 @@ Submodules
     Chrome trace-event / Perfetto exporter for JSONL span traces
     (imported on demand; run as ``python -m repro.obs.chrometrace``).
 :mod:`repro.obs.runreport`
-    Unified run reports joining a trace, metrics snapshot, and live
-    frame log (imported on demand; CLI ``ptpminer report``).
-:mod:`repro.obs.report`
-    Renders a snapshot as per-phase / per-depth summary tables
-    (imported on demand; run as ``python -m repro.obs.report``).
+    Unified run reports joining a trace, metrics snapshot (phase,
+    per-depth, per-length and histogram tables), live frame log, cost
+    profile and provenance (imported on demand; CLI ``ptpminer
+    report``).
 :mod:`repro.obs.profile`
     Per-phase profiling hooks: one ``cProfile`` profile per top-level
     phase span, a collapsed-stack ("folded") exporter for flamegraph
@@ -75,14 +83,15 @@ or install pieces individually with ``metrics.use_registry(...)``,
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from collections.abc import Callable, Collection, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from repro.obs import (
     clock,
     costmodel,
+    events,
     live,
     metrics,
     progress,
@@ -92,10 +101,10 @@ from repro.obs import (
 )
 from repro.obs.costmodel import CostCollector, use_collector
 from repro.obs.live import LiveCollector, LiveConfig, use_live
-from repro.obs.provenance import ProvenanceCollector
-from repro.obs.seam import CollectorSeam
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.progress import ProgressReporter, use_reporter
+from repro.obs.provenance import ProvenanceCollector
+from repro.obs.seam import CollectorSeam
 from repro.obs.trace import (
     JsonlTraceWriter,
     TraceCollector,
@@ -115,8 +124,12 @@ __all__ = [
     "ProgressReporter",
     "ProvenanceCollector",
     "TraceCollector",
+    "absorb_shard",
     "clock",
+    "collect",
     "costmodel",
+    "events",
+    "installed",
     "is_active",
     "live",
     "metrics",
@@ -124,6 +137,7 @@ __all__ = [
     "progress",
     "provenance",
     "seam",
+    "silence",
     "span",
     "trace",
     "traced",
@@ -134,14 +148,104 @@ __all__ = [
     "use_tracer",
 ]
 
+#: Every installable collector: ``name -> (active, install, factory)``.
+_COLLECTORS: dict[str, tuple[Callable[[], Any], Callable[[Any], None], Any]] = {
+    "metrics": (metrics.active_registry, metrics.set_registry, MetricsRegistry),
+    "trace": (trace.active_tracer, trace.set_tracer, TraceCollector),
+    "cost": (costmodel.active_collector, costmodel.set_collector, CostCollector),
+    "provenance": (
+        provenance.active_collector,
+        provenance.set_collector,
+        ProvenanceCollector,
+    ),
+    "progress": (progress.active_reporter, progress.set_reporter, ProgressReporter),
+    "live": (live.active_live, live.set_live, LiveCollector),
+}
+
+#: The collectors a sharded run replicates in each worker and merges
+#: home; progress and live report from the worker as it runs instead.
+_SHARD_COLLECTORS = ("metrics", "trace", "cost", "provenance")
+
 
 def is_active() -> bool:
     """True when any observability sink (tracer/registry/progress) is on."""
-    return (
-        trace.active_tracer() is not None
-        or metrics.active_registry() is not None
-        or progress.active_reporter() is not None
+    return any(
+        _COLLECTORS[name][0]() is not None
+        for name in ("trace", "metrics", "progress")
     )
+
+
+@contextmanager
+def _installed(instances: Mapping[str, Any]) -> Iterator[None]:
+    """Install ``name -> collector`` for a scope; restore on exit."""
+    previous = {name: _COLLECTORS[name][0]() for name in instances}
+    for name, instance in instances.items():
+        _COLLECTORS[name][1](instance)
+    try:
+        yield
+    finally:
+        for name, instance in previous.items():
+            _COLLECTORS[name][1](instance)
+
+
+def installed() -> frozenset[str]:
+    """The installed collectors a shard worker replicates: a picklable spec
+    (names out of ``metrics``, ``trace``, ``cost``, ``provenance``)."""
+    return frozenset(
+        name for name in _SHARD_COLLECTORS if _COLLECTORS[name][0]() is not None
+    )
+
+
+def silence() -> None:
+    """Uninstall every collector (a forked worker's inherited ones)."""
+    for _active, install, _factory in _COLLECTORS.values():
+        install(None)
+
+
+@contextmanager
+def collect(names: Collection[str]) -> Iterator[dict[str, Any]]:
+    """Scope fresh collectors for ``names``; yield their shard snapshot.
+
+    The yielded dict is filled on exit with one entry per name: each
+    collector's ``snapshot()``, or the trace's event list.
+    """
+    fresh = {name: _COLLECTORS[name][2]() for name in sorted(names)}
+    snapshot: dict[str, Any] = {}
+    with _installed(fresh):
+        yield snapshot
+    for name, collector in fresh.items():
+        snapshot[name] = (
+            collector.events if name == "trace" else collector.snapshot()
+        )
+
+
+def absorb_shard(
+    shard: int,
+    snapshot: Mapping[str, Any],
+    *,
+    elapsed: float,
+    parent_span: Optional[int],
+) -> None:
+    """Merge one shard's :func:`collect` snapshot into the installed collectors.
+
+    Metrics land under the ``shard.`` prefix plus one
+    ``engine.shard_elapsed_s[shard=<i>]`` gauge; trace events are
+    re-emitted as ``shard<i>:<id>`` spans under ``parent_span``; cost
+    and provenance snapshots are keyed unions. Every merge is
+    order-independent, so shards may arrive in any order.
+    """
+    registry = metrics.active_registry()
+    if registry is not None:
+        if snapshot.get("metrics"):
+            registry.absorb_snapshot(snapshot["metrics"], prefix="shard.")
+        registry.gauge("engine.shard_elapsed_s", shard=shard).set(elapsed)
+    tracer = trace.active_tracer()
+    if tracer is not None:
+        trace.reemit(tracer, snapshot.get("trace", []), shard, parent_span)
+    for name in ("cost", "provenance"):
+        collector = _COLLECTORS[name][0]()
+        if collector is not None and snapshot.get(name):
+            collector.absorb(snapshot[name])
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,32 +272,13 @@ def observe(
     Existing instances may be passed instead of ``True``. Everything is
     uninstalled (previous sinks restored) on exit.
     """
-    registry: Optional[MetricsRegistry]
-    if metrics is True:
-        registry = MetricsRegistry()
-    elif metrics is False or metrics is None:
-        registry = None
-    else:
-        registry = metrics
-    trace_sink: Optional[trace.Tracer]
-    if tracer is True:
-        trace_sink = TraceCollector()
-    elif tracer is False or tracer is None:
-        trace_sink = None
-    else:
-        trace_sink = tracer
-    progress_sink: Optional[ProgressReporter]
-    if reporter is True:
-        progress_sink = ProgressReporter()
-    elif reporter is False or reporter is None:
-        progress_sink = None
-    else:
-        progress_sink = reporter
-    with ExitStack() as stack:
-        if registry is not None:
-            stack.enter_context(use_registry(registry))
-        if trace_sink is not None:
-            stack.enter_context(use_tracer(trace_sink))
-        if progress_sink is not None:
-            stack.enter_context(use_reporter(progress_sink))
-        yield ObsHandles(registry, trace_sink, progress_sink)
+    chosen = {"metrics": metrics, "trace": tracer, "progress": reporter}
+    sinks: dict[str, Any] = {
+        name: _COLLECTORS[name][2]() if value is True else value
+        for name, value in chosen.items()
+        if value is not None and value is not False
+    }
+    with _installed(sinks):
+        yield ObsHandles(
+            sinks.get("metrics"), sinks.get("trace"), sinks.get("progress")
+        )

@@ -16,8 +16,8 @@ attributes cost to the two axes the next performance arcs need:
 
 Collection follows the repo's zero-cost-when-disabled discipline
 (`docs/observability.md`): :func:`active_collector` is ``None`` unless a
-:class:`CostCollector` is installed, the search hoists one local, and
-every recording site is guarded by a single ``is not None`` branch.
+:class:`CostCollector` is installed, and the search reaches it only as a
+subscriber of its event stream (:mod:`repro.obs.events`).
 
 Sharding: the parent's ``plan_root`` records the root-level funnel once;
 each worker records the subtrees of its disjoint root subset into a
@@ -87,30 +87,26 @@ class CostCollector:
     # ------------------------------------------------------------------
     # hot-path recording
     # ------------------------------------------------------------------
-    def record_node(self, level: int, num_candidates: int) -> None:
-        """One search node at ``level`` gathered ``num_candidates``."""
+    def _row(self, level: int) -> dict[str, int]:
+        """The funnel row of ``level``, created on first touch."""
         row = self._levels.get(level)
         if row is None:
-            row = dict.fromkeys(_LEVEL_FIELDS, 0)
-            self._levels[level] = row
+            row = self._levels[level] = dict.fromkeys(_LEVEL_FIELDS, 0)
+        return row
+
+    def record_node(self, level: int, num_candidates: int) -> None:
+        """One search node at ``level`` gathered ``num_candidates``."""
+        row = self._row(level)
         row["nodes"] += 1
         row["candidates"] += num_candidates
 
     def record_frequent(self, level: int) -> None:
         """One frequent candidate survived the support check at ``level``."""
-        row = self._levels.get(level)
-        if row is None:
-            row = dict.fromkeys(_LEVEL_FIELDS, 0)
-            self._levels[level] = row
-        row["frequent"] += 1
+        self._row(level)["frequent"] += 1
 
     def record_pattern(self, length: int) -> None:
         """One pattern of ``length`` tokens was emitted."""
-        row = self._levels.get(length)
-        if row is None:
-            row = dict.fromkeys(_LEVEL_FIELDS, 0)
-            self._levels[length] = row
-        row["patterns"] += 1
+        self._row(length)["patterns"] += 1
 
     def record_root(
         self,
@@ -179,11 +175,7 @@ class CostCollector:
             for fld in _ROOT_FIELDS:
                 mine[fld] += int(entry.get(fld, 0))
         for level_key, row in sorted(dict(snapshot.get("levels", {})).items()):
-            level = int(level_key)
-            mine_row = self._levels.get(level)
-            if mine_row is None:
-                mine_row = dict.fromkeys(_LEVEL_FIELDS, 0)
-                self._levels[level] = mine_row
+            mine_row = self._row(int(level_key))
             for fld in _LEVEL_FIELDS:
                 mine_row[fld] += int(row.get(fld, 0))
 

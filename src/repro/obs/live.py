@@ -7,9 +7,11 @@ until the whole pool drained. This module is the fix — a lightweight
 telemetry bus that streams worker heartbeats to the parent **during**
 the run:
 
-* :class:`LiveSink` lives worker-side. The engine hands it one
-  per-root-candidate callback (:meth:`LiveSink.on_root`); the sink
-  throttles those callbacks through the injectable
+* :class:`LiveSink` lives worker-side. The engine installs it as the
+  ``sink`` of a worker-side :class:`LiveCollector`, where the search's
+  event stream (:mod:`repro.obs.events`) finds it and calls
+  :meth:`LiveSink.on_root` once per finished root candidate; the sink
+  throttles those calls through the injectable
   :mod:`repro.obs.clock` and publishes compact :class:`LiveFrame`
   payloads (shard id, roots expanded / total, patterns found, cumulative
   prune-counter totals, rss) onto whatever ``publish`` callable it was
@@ -26,8 +28,8 @@ The bus keeps the repository's zero-cost-when-disabled discipline: it
 is never constructed unless live mode is explicitly requested
 (``mine_sharded(live=...)``, CLI ``--live``, or
 ``measure(collect_live=True)``), workers receive no sink otherwise, and
-the miner's per-root callback stays ``None`` — one pointer check on an
-already-cold path. All throttling reads :func:`repro.obs.clock.now`,
+the search's event stream then has no live subscriber. All throttling
+reads :func:`repro.obs.clock.now`,
 so :class:`~repro.obs.clock.ManualClock` tests can drive heartbeats
 deterministically (lint rule R006 bans raw ``time`` imports here).
 
@@ -40,13 +42,14 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Callable, Iterator, Mapping
-from contextlib import contextmanager
+from collections.abc import Callable, Mapping
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, TextIO, Union
 
 from repro.obs import clock as _clock
+from repro.obs.seam import CollectorSeam
 from repro.obs.warnonce import warn_once
 
 __all__ = [
@@ -197,7 +200,7 @@ class LiveSink:
         patterns: int,
         counters: Mapping[str, float],
     ) -> None:
-        """Per-root-candidate callback from ``search_shard``.
+        """Per-root-candidate call from the search's event stream.
 
         Emits a frame for the first completed root and then at most once
         per ``min_interval_s`` (injectable-clock) seconds; the final
@@ -211,48 +214,26 @@ class LiveSink:
         ):
             return
         self._emit(
-            now,
-            roots_done=done,
-            roots_total=total,
-            patterns=patterns,
-            counters=counters,
-            final=False,
+            LiveFrame(
+                self.shard, now, done, total, patterns, dict(counters),
+                _read_rss_mb(),
+            )
         )
 
     def finish(
         self, patterns: int, counters: Mapping[str, float]
     ) -> None:
         """Publish the shard's final frame (always emitted, never throttled)."""
+        total = self.roots_total
         self._emit(
-            _clock.now(),
-            roots_done=self.roots_total,
-            roots_total=self.roots_total,
-            patterns=patterns,
-            counters=counters,
-            final=True,
+            LiveFrame(
+                self.shard, _clock.now(), total, total, patterns,
+                dict(counters), _read_rss_mb(), final=True,
+            )
         )
 
-    def _emit(
-        self,
-        now: float,
-        *,
-        roots_done: int,
-        roots_total: int,
-        patterns: int,
-        counters: Mapping[str, float],
-        final: bool,
-    ) -> None:
-        frame = LiveFrame(
-            shard=self.shard,
-            ts=now,
-            roots_done=roots_done,
-            roots_total=roots_total,
-            patterns=patterns,
-            counters=dict(counters),
-            rss_mb=_read_rss_mb(),
-            final=final,
-        )
-        self._last_emit = now
+    def _emit(self, frame: LiveFrame) -> None:
+        self._last_emit = frame.ts
         self.frames_published += 1
         self._publish(frame.as_dict())
 
@@ -617,50 +598,43 @@ def read_live_log(path: Union[str, Path]) -> list[LiveFrame]:
 class LiveCollector:
     """The installable handle live mode hangs off.
 
-    Holds the :class:`LiveConfig` before the run and receives the
-    :class:`LiveAggregator` (while running) and its final
+    Parent side, it holds the :class:`LiveConfig` before the run and
+    receives the :class:`LiveAggregator` (while running) and its final
     :meth:`~LiveAggregator.summary` dict (after) from the engine —
     what :func:`repro.harness.metrics.measure` returns as
-    ``RunMetrics.live_summary``.
+    ``RunMetrics.live_summary``. Worker side, the engine installs one
+    whose ``sink`` is the shard's :class:`LiveSink`; the search's event
+    stream (:mod:`repro.obs.events`) feeds it one call per root.
     """
 
     config: LiveConfig = field(default_factory=LiveConfig)
     aggregator: Optional[LiveAggregator] = None
     summary: Optional[dict[str, Any]] = None
+    sink: Optional[LiveSink] = None
 
 
-_active: Optional[LiveCollector] = None
+# Installation seam (shared implementation: repro.obs.seam).
+_seam: CollectorSeam[LiveCollector] = CollectorSeam(LiveCollector)
 
 
 def active_live() -> Optional[LiveCollector]:
     """The installed live collector, or ``None`` when live mode is off."""
-    return _active
+    return _seam.active()
 
 
 def set_live(collector: Optional[LiveCollector]) -> None:
     """Install ``collector`` process-wide (``None`` turns live mode off)."""
-    global _active
-    _active = collector
+    _seam.install(collector)
 
 
-@contextmanager
 def use_live(
     collector: Union[LiveCollector, LiveConfig, None] = None,
-) -> Iterator[LiveCollector]:
+) -> AbstractContextManager[LiveCollector]:
     """Scope-install a live collector; restores the previous one on exit.
 
     Accepts a ready :class:`LiveCollector`, a bare :class:`LiveConfig`
     (wrapped in a fresh collector), or nothing (all defaults).
     """
-    if collector is None:
-        resolved = LiveCollector()
-    elif isinstance(collector, LiveConfig):
-        resolved = LiveCollector(config=collector)
-    else:
-        resolved = collector
-    previous = _active
-    set_live(resolved)
-    try:
-        yield resolved
-    finally:
-        set_live(previous)
+    if isinstance(collector, LiveConfig):
+        collector = LiveCollector(config=collector)
+    return _seam.scope(collector)

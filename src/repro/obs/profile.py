@@ -21,7 +21,7 @@ Three outputs:
   lines with microsecond weights, consumable by standard flamegraph
   tooling (``flamegraph.pl``, speedscope, inferno);
 * a renderer, ``python -m repro.obs.profile profile.json``, parallel to
-  :mod:`repro.obs.report`.
+  ``ptpminer report --metrics``.
 
 Same zero-cost discipline as the rest of :mod:`repro.obs`: nothing here
 touches the mining hot path unless a profiler is installed, and the
@@ -427,7 +427,8 @@ def render_profile(report: Mapping[str, Any], *, top: int = 10) -> str:
 
     Never raises on partial input: missing sections, zero-duration
     phases, and empty function lists all render as best they can (the
-    same robustness contract as :func:`repro.obs.report.render_report`).
+    same robustness contract as the metrics tables of
+    :func:`repro.obs.runreport.build_run_report`).
     """
     from repro.harness.tables import render_table
 

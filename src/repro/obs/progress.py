@@ -19,12 +19,13 @@ single stderr lines (what the CLI's ``--progress`` flag does)::
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from repro.obs import clock as _clock
+from repro.obs.seam import CollectorSeam
 
 __all__ = [
     "ProgressEvent",
@@ -117,12 +118,8 @@ class ProgressReporter:
         due_time = now - self._last_emit_time >= self.min_interval_s
         if due_nodes or due_time:
             self._emit(
-                now,
-                depth=depth,
-                patterns=patterns,
-                candidates=candidates,
-                pruned=pruned,
-                final=False,
+                now, False, depth=depth, patterns=patterns,
+                candidates=candidates, pruned=pruned,
             )
 
     def finish(
@@ -132,35 +129,19 @@ class ProgressReporter:
         if self._started is None:
             return
         self._emit(
-            _clock.now(),
-            depth=depth,
-            patterns=patterns,
-            candidates=candidates,
-            pruned=pruned,
-            final=True,
+            _clock.now(), True, depth=depth, patterns=patterns,
+            candidates=candidates, pruned=pruned,
         )
 
-    def _emit(
-        self,
-        now: float,
-        *,
-        depth: int,
-        patterns: int,
-        candidates: int,
-        pruned: int,
-        final: bool,
-    ) -> None:
+    def _emit(self, now: float, final: bool, **stats: int) -> None:
         assert self._started is not None
         elapsed = now - self._started
         event = ProgressEvent(
             nodes=self._nodes,
             elapsed_s=elapsed,
             nodes_per_s=self._nodes / elapsed if elapsed > 0 else 0.0,
-            depth=depth,
-            patterns=patterns,
-            candidates=candidates,
-            pruned=pruned,
             final=final,
+            **stats,
         )
         self._last_emit_time = now
         self._last_emit_nodes = self._nodes
@@ -172,26 +153,22 @@ class ProgressReporter:
             print(format_event(event), file=stream)
 
 
-_active: Optional[ProgressReporter] = None
+# Installation seam (shared implementation: repro.obs.seam).
+_seam: CollectorSeam[ProgressReporter] = CollectorSeam(ProgressReporter)
 
 
 def active_reporter() -> Optional[ProgressReporter]:
     """The installed reporter, or ``None`` when progress is off."""
-    return _active
+    return _seam.active()
 
 
 def set_reporter(reporter: Optional[ProgressReporter]) -> None:
     """Install ``reporter`` process-wide (``None`` turns progress off)."""
-    global _active
-    _active = reporter
+    _seam.install(reporter)
 
 
-@contextmanager
-def use_reporter(reporter: ProgressReporter) -> Iterator[ProgressReporter]:
-    """Scope-install a reporter; restores the previous one on exit."""
-    previous = _active
-    set_reporter(reporter)
-    try:
-        yield reporter
-    finally:
-        set_reporter(previous)
+def use_reporter(
+    reporter: Optional[ProgressReporter] = None,
+) -> AbstractContextManager[ProgressReporter]:
+    """Scope-install a reporter (a default stderr one when ``None``)."""
+    return _seam.scope(reporter)

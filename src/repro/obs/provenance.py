@@ -23,9 +23,9 @@ set itself raises:
 
 Collection follows the repo's zero-cost-when-disabled discipline
 (`docs/observability.md`): :func:`active_collector` is ``None`` unless
-a :class:`ProvenanceCollector` is installed, the search hoists one
-local, and every recording site is guarded by a single ``is not None``
-branch.
+a :class:`ProvenanceCollector` is installed, and the search reaches it
+only through :class:`ProvenanceSubscriber`, a subscriber of its event
+stream (:mod:`repro.obs.events`).
 
 Sharding: the parent's ``plan_root`` records the root-level decisions
 (point-pruned labels, root pair/span kills) once; each worker records
@@ -43,16 +43,20 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import AbstractContextManager
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from repro.core.pruning import PRUNE_SITES
 from repro.model.pattern import TemporalPattern
 from repro.obs.seam import CollectorSeam
 from repro.temporal.endpoint import POINT
 
+if TYPE_CHECKING:
+    from repro.obs.events import SearchEvents
+
 __all__ = [
     "PROVENANCE_SCHEMA_VERSION",
     "ProvenanceCollector",
+    "ProvenanceSubscriber",
     "active_collector",
     "diff_patterns",
     "explain",
@@ -200,6 +204,78 @@ class ProvenanceCollector:
             self._pruned[key] = dict(entry)
         for key, entry in sorted(dict(snapshot.get("labels", {})).items()):
             self._labels[key] = dict(entry)
+
+
+class ProvenanceSubscriber:
+    """Records one search's events into a collector (see
+    :mod:`repro.obs.events`), keyed by the canonical text of the pattern
+    prefix reached, so ``why-not`` can look prefixes straight up."""
+
+    def __init__(
+        self, collector: ProvenanceCollector, events: SearchEvents
+    ) -> None:
+        self.collector = collector
+        self.events = events
+
+    def on_killed(
+        self,
+        site: str,
+        level: int,
+        cand: Optional[tuple[int, int, int]],
+        support: Optional[float],
+        threshold: Optional[float],
+    ) -> None:
+        """Record one kill under the prefix text it would have reached."""
+        events = self.events
+        if cand is None and level == 0:
+            return  # the empty root pattern has no text to key by
+        pointsets = [list(ps) for ps in events.pointsets]
+        if cand is not None:  # extend: an S-extension opens a pointset
+            if cand[0] == 1 or not pointsets:
+                pointsets.append([])
+            pointsets[-1].append((cand[1], cand[2]))
+        decode = events.encoded.decode_token
+        self.collector.record_pruned(
+            str(
+                TemporalPattern(
+                    ((decode(tok) for tok in ps) for ps in pointsets),
+                    validate=False,
+                )
+            ),
+            site=site,
+            level=level,
+            # A level-1 candidate is its own root; deeper kills belong
+            # to the root whose subtree the search is in.
+            root=(
+                events.token_text(cand)
+                if cand is not None and level == 1
+                else events.root
+            ),
+            support=support,
+            threshold=threshold,
+        )
+
+    def on_emitted(
+        self,
+        level: int,
+        pattern: TemporalPattern,
+        support: float,
+        projected: Sequence[tuple[int, Sequence[Any]]],
+    ) -> None:
+        """Record an emitted pattern, its support set and one witness
+        embedding per sequence (each first state's used-set)."""
+        labels = self.events.encoded.labels
+        self.collector.record_emitted(
+            str(pattern),
+            support,
+            [sid for sid, _states in projected],
+            {
+                sid: [(labels[lab], socc) for lab, socc in states[0].used]
+                for sid, states in projected
+            },
+            root=self.events.root,
+            level=level,
+        )
 
 
 def patterns_digest(patterns: Iterable[Any]) -> str:

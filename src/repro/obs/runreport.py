@@ -6,7 +6,10 @@ a live frame log (``--live-log``), a cost profile (``--cost-profile``),
 and a provenance snapshot (``--provenance``) — into one markdown (or
 JSON) report: a phase table, per-shard utilization with an imbalance
 figure, the prune funnel, straggler callouts, the realized
-heaviest-roots table, and a provenance summary. Any subset of the
+heaviest-roots table, and a provenance summary. A metrics snapshot also
+gives the DFS shape: phase seconds with their shares, projection states
+per depth, patterns per length, candidates per extension kind, plain
+totals and every histogram. Any subset of the
 sources works: sections without data are omitted and the report instead
 carries a ``notes`` list saying *why* each section is absent (source
 not given vs. given but empty), so a partial report is an answer, not
@@ -24,6 +27,7 @@ registry's ``search.*`` counters, which by construction mirror
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping, Sequence
 from typing import Any, Optional
 
@@ -51,6 +55,106 @@ _FUNNEL_STAGES: tuple[tuple[str, str], ...] = (
     ("states_created", "states created"),
     ("patterns_emitted", "patterns emitted"),
 )
+
+
+#: A labelled metrics key: ``name[k=v,...]``.
+_LABELLED = re.compile(r"^(?P<name>[^\[]+)\[(?P<labels>.*)\]$")
+
+#: Labelled counter families shown as tables: title, counter, label,
+#: and the value column's name.
+_SHAPE_TABLES = (
+    ("Projection states per DFS depth", "search.states_by_depth", "depth",
+     "states"),
+    ("Patterns emitted per length (endpoint tokens)",
+     "search.patterns_by_length", "tokens", "patterns"),
+    ("Candidates per extension kind", "search.candidates", "ext",
+     "candidates"),
+)
+
+
+def _labelled_rows(
+    counters: Mapping[str, Any], name: str, label: str
+) -> list[list[Any]]:
+    """``[label value, count]`` rows of one counter family, numerically."""
+    rows = []
+    for key, value in counters.items():
+        match = _LABELLED.match(key)
+        if match is None or match.group("name") != name:
+            continue
+        labels = {
+            lab: text
+            for lab, text in (
+                part.split("=", 1)
+                for part in match.group("labels").split(",")
+                if "=" in part
+            )
+        }
+        if label in labels:
+            rows.append([labels[label], value])
+
+    def numeric(row: list[Any]) -> float:
+        try:
+            return float(row[0])
+        except ValueError:
+            return 0.0
+
+    return sorted(rows, key=numeric)
+
+
+def _metrics_tables(snapshot: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """The DFS-shape tables of a metrics snapshot, as titled row lists.
+
+    Tolerant of partial snapshots (a run that died mid-mine, or JSON
+    with explicit ``null`` sections): absent data yields no table,
+    never a traceback.
+    """
+    counters: Mapping[str, Any] = snapshot.get("counters") or {}
+    gauges: Mapping[str, Any] = snapshot.get("gauges") or {}
+    tables: list[dict[str, Any]] = []
+
+    def add(title: str, columns: Sequence[str], rows: list[Any]) -> None:
+        if rows:
+            tables.append({"title": title, "columns": columns, "rows": rows})
+
+    phases = _labelled_rows(counters, "phase_seconds", "phase")
+    total = sum(float(seconds) for _, seconds in phases)
+    add(
+        "Phase seconds (metrics)",
+        ("phase", "seconds", "share"),
+        [
+            [phase, seconds, f"{seconds / total:.1%}" if total else None]
+            for phase, seconds in sorted(phases, key=lambda row: -row[1])
+        ],
+    )
+    for title, name, label, column in _SHAPE_TABLES:
+        add(title, (label, column), _labelled_rows(counters, name, label))
+    add(
+        "Totals",
+        ("metric", "value"),
+        sorted([key, value] for key, value in counters.items() if "[" not in key)
+        + sorted([key, value] for key, value in gauges.items()),
+    )
+    for key, hist in sorted((snapshot.get("histograms") or {}).items()):
+        hist = hist or {}
+        buckets = hist.get("buckets") or {}
+        tables.append({
+            "title": f"Histogram {key} (count={hist.get('count') or 0}, "
+            f"sum={float(hist.get('sum') or 0.0):g})",
+            "columns": ("bucket", "observations"),
+            "rows": [
+                [bound, buckets[bound]]
+                for bound in sorted(buckets, key=_bucket_bound)
+            ],
+        })
+    return tables
+
+
+def _bucket_bound(key: str) -> float:
+    """Upper bound of a histogram bucket key (``le_<b>``; ``inf`` last)."""
+    try:
+        return float(key[3:]) if key.startswith("le_") else float("inf")
+    except ValueError:
+        return float("inf")
 
 
 def _phase_table(
@@ -203,7 +307,10 @@ def build_run_report(
     else:
         notes.append("phase table omitted: no trace given")
     if snapshot is not None:
-        counters = snapshot.get("counters", {})
+        tables = _metrics_tables(snapshot)
+        if tables:
+            report["metrics_tables"] = tables
+        counters = snapshot.get("counters") or {}
         funnel = [
             {"stage": label, "count": counters[key]}
             for suffix, label in _FUNNEL_STAGES
@@ -438,6 +545,10 @@ def render_markdown(report: Mapping[str, Any]) -> str:
             f"{provenance.get('pruned')} prune record(s), "
             f"{provenance.get('labels')} label(s)"
         )
+        lines.append("")
+    for table in report.get("metrics_tables", []):
+        lines.extend([f"## {table['title']}", ""])
+        lines.extend(_markdown_table(table["columns"], table["rows"]))
         lines.append("")
     funnel = report.get("prune_funnel")
     if funnel:

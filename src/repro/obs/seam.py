@@ -1,7 +1,8 @@
 """The shared collector-installation seam.
 
 Every opt-in observability collector in this package — the metrics
-registry, the cost collector, the provenance collector — hangs off the
+registry, the cost and provenance collectors, the progress reporter and
+the live collector — hangs off the
 same three-function surface: ``active_*()`` returns the installed
 instance or ``None``, ``set_*()`` installs one process-wide, and
 ``use_*()`` scope-installs a fresh (or given) instance and restores the
@@ -17,8 +18,9 @@ established public names (``active_registry``/``active_collector``,
 APIs stay exactly as they were.
 
 Workers never inherit a seam's state usefully across a ``fork`` — the
-engine silences inherited collectors in its pool initializer and scopes
-private ones per shard; see :mod:`repro.engine`.
+engine silences inherited collectors in its pool initializer
+(:func:`repro.obs.silence`) and scopes private ones per shard
+(:func:`repro.obs.collect`); see :mod:`repro.engine`.
 """
 
 from __future__ import annotations

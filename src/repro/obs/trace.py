@@ -32,7 +32,7 @@ exception (the exception type name); the exception always propagates.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from functools import wraps
 from pathlib import Path
@@ -49,8 +49,10 @@ __all__ = [
     "active_tracer",
     "current_span_id",
     "read_trace",
+    "reemit",
     "set_tracer",
     "span",
+    "spans_enabled",
     "traced",
     "use_tracer",
 ]
@@ -181,6 +183,15 @@ def active_tracer() -> Optional[Tracer]:
     return _tracer
 
 
+def spans_enabled() -> bool:
+    """True when :func:`span` records anything (a tracer or a registry).
+
+    The search hoists this once and guards its per-node spans with it,
+    so the disabled path skips even the context-manager call.
+    """
+    return _tracer is not None or _metrics.active_registry() is not None
+
+
 def current_span_id() -> Optional[int]:
     """Id of the innermost open span, or ``None`` at the trace root.
 
@@ -206,6 +217,32 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
         yield tracer
     finally:
         set_tracer(previous)
+
+
+def reemit(
+    tracer: Tracer,
+    events: Sequence[Mapping[str, Any]],
+    shard: int,
+    parent_span: Optional[int],
+) -> None:
+    """Replay a shard worker's span events into the parent trace.
+
+    Span ids are rewritten to ``"shard<i>:<id>"`` strings (unique across
+    shards); parent links pointing at spans the worker did not itself
+    open — ``None`` roots, or stale ids inherited through ``fork`` — are
+    re-hung under ``parent_span``, the engine's dispatching span, so the
+    merged trace stays one well-formed tree.
+    """
+    own = {event["span"] for event in events}
+    for event in events:
+        rewritten = dict(event)
+        rewritten["span"] = f"shard{shard}:{event['span']}"
+        if "parent" in rewritten:
+            parent = event["parent"]
+            rewritten["parent"] = (
+                f"shard{shard}:{parent}" if parent in own else parent_span
+            )
+        tracer.emit(rewritten)
 
 
 @contextmanager

@@ -123,6 +123,54 @@ class TestTextFormatErrors:
         assert f"{path}:3:" in captured.err
 
 
+class TestReaderLineErrors:
+    """Every reader names the file and line of a bad record, and
+    ``ptpminer mine`` turns it into exit 2 with nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        ("suffix", "content", "line"),
+        [
+            (".jsonl", '{"_meta": {}}\n{"events": [1]}\n', 2),
+            (".jsonl", '{"events": [[NaN, 1, "A"]]}\n', 1),
+            (".jsonl", "[1, 2]\n", 1),
+            (".csv", "sid,label,start,finish\n0,A,0,1\n0,B,nan,1\n", 3),
+            (".csv", "sid,label,start,finish\nx,A,0,1\n", 2),
+            (".spmf", "@ITEM=0=A\n0 nan 2 -1 -2\n", 2),
+            (".spmf", "@ITEM=0=A\n@ITEM=x=B\n0 1 2 -1 -2\n", 2),
+            (".spmf", "@ITEM=0=A\n0 1 2 -1 -2\n0 1 2 -1\n", 3),
+        ],
+        ids=[
+            "jsonl-event-not-a-triple",
+            "jsonl-nan",
+            "jsonl-not-an-object",
+            "csv-nan",
+            "csv-bad-sid",
+            "spmf-nan",
+            "spmf-bad-item-id",
+            "spmf-no-terminator",
+        ],
+    )
+    def test_error_names_file_and_line(
+        self, tmp_path, capsys, suffix, content, line
+    ):
+        from repro.cli import main
+
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            read_database_any(path)
+        assert main(["mine", str(path), "--min-sup", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:{line}:" in captured.err
+
+
+def read_database_any(path):
+    """Read ``path`` with the reader its suffix names."""
+    readers = {".jsonl": read_jsonl, ".csv": read_csv, ".spmf": read_spmf}
+    return readers[path.suffix](path)
+
+
 class TestSpmfErrors:
     def test_missing_terminator(self, tmp_path):
         path = tmp_path / "bad.spmf"

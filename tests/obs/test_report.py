@@ -1,8 +1,15 @@
-"""Tests for snapshot report rendering (``repro.obs.report``)."""
+"""Tests for the metrics-snapshot tables of ``ptpminer report``.
+
+A ``--metrics`` source renders the DFS shape next to the prune funnel:
+phase seconds with shares, projection states per depth, patterns per
+length, candidates per extension kind, plain totals and histograms
+(:func:`repro.obs.runreport.build_run_report`).
+"""
 
 import json
 
-from repro.obs.report import main, render_report
+from repro.cli import main
+from repro.obs.runreport import build_run_report, render_markdown
 
 
 def sample_snapshot() -> dict:
@@ -29,51 +36,69 @@ def sample_snapshot() -> dict:
     }
 
 
-class TestRenderReport:
-    def test_sections_present(self):
-        text = render_report(sample_snapshot())
-        assert "Phase breakdown" in text
-        assert "Projection states per DFS depth" in text
-        assert "Patterns emitted per length" in text
-        assert "Frequent candidates per extension kind" in text
-        assert "Totals" in text
-        assert "Histogram search.candidates_per_node" in text
+def render_report(snapshot, tmp_path) -> str:
+    """Markdown of a metrics-only run report over ``snapshot``."""
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(snapshot))
+    return render_markdown(build_run_report(metrics_path=str(path)))
 
-    def test_phase_breakdown_sorted_by_time_with_share(self):
-        text = render_report(sample_snapshot())
-        phase_section = text.split("\n\n")[0]
+
+def section(text: str, title: str) -> str:
+    """The markdown section headed ``## <title>...``, up to the next one."""
+    start = text.index(f"## {title}")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+class TestRenderReport:
+    def test_sections_present(self, tmp_path):
+        text = render_report(sample_snapshot(), tmp_path)
+        assert "## Phase seconds (metrics)" in text
+        assert "## Projection states per DFS depth" in text
+        assert "## Patterns emitted per length" in text
+        assert "## Candidates per extension kind" in text
+        assert "## Totals" in text
+        assert "## Histogram search.candidates_per_node" in text
+
+    def test_phase_breakdown_sorted_by_time_with_share(self, tmp_path):
+        text = render_report(sample_snapshot(), tmp_path)
+        phase_section = section(text, "Phase seconds")
         assert phase_section.index("search") < phase_section.index("encode")
         assert "90.0%" in phase_section
         assert "10.0%" in phase_section
 
-    def test_depth_rows_sorted_numerically(self):
+    def test_depth_rows_sorted_numerically(self, tmp_path):
         snapshot = {
             "counters": {
                 "search.states_by_depth[depth=10]": 1,
                 "search.states_by_depth[depth=2]": 2,
             }
         }
-        text = render_report(snapshot)
-        assert text.index(" 2 ") < text.index("10 ")
-
-    def test_totals_include_plain_counters_and_gauges(self):
-        text = render_report(sample_snapshot())
-        assert "search.pruned_pair" in text
-        assert "run.patterns" in text
-
-    def test_empty_snapshot(self):
-        assert "empty" in render_report({})
-        assert "empty" in render_report(
-            {"counters": {}, "gauges": {}, "histograms": {}}
+        text = section(
+            render_report(snapshot, tmp_path), "Projection states"
         )
+        assert text.index("| 2 |") < text.index("| 10 |")
 
-    def test_null_sections_never_raise(self):
+    def test_totals_include_plain_counters_and_gauges(self, tmp_path):
+        totals = section(render_report(sample_snapshot(), tmp_path), "Totals")
+        assert "search.pruned_pair" in totals
+        assert "run.patterns" in totals
+
+    def test_empty_snapshot(self, tmp_path):
+        for snapshot in ({}, {"counters": {}, "gauges": {}, "histograms": {}}):
+            text = render_report(snapshot, tmp_path)
+            assert "## Totals" not in text
+            assert "no search.* counters" in text
+
+    def test_null_sections_never_raise(self, tmp_path):
         # A partial run may serialise explicit nulls; skip, don't crash.
-        assert "empty" in render_report(
-            {"counters": None, "gauges": None, "histograms": None}
+        text = render_report(
+            {"counters": None, "gauges": None, "histograms": None}, tmp_path
         )
+        assert "## Totals" not in text
+        assert "no search.* counters" in text
 
-    def test_degenerate_histogram_never_raises(self):
+    def test_degenerate_histogram_never_raises(self, tmp_path):
         snapshot = {
             "histograms": {
                 "h_empty": {},
@@ -82,29 +107,30 @@ class TestRenderReport:
                 "h_null": None,
             }
         }
-        text = render_report(snapshot)
+        text = render_report(snapshot, tmp_path)
         assert "Histogram h_empty" in text
         assert "Histogram h_null_sum" in text
         assert "Histogram h_null" in text
 
-    def test_counters_only_partial_run(self):
+    def test_counters_only_partial_run(self, tmp_path):
         # Only a couple of counters landed before the run died.
         text = render_report(
-            {"counters": {"search.nodes_expanded": 3}}
+            {"counters": {"search.nodes_expanded": 3}}, tmp_path
         )
-        assert "Totals" in text
-        assert "search.nodes_expanded" in text
+        assert "search.nodes_expanded" in section(text, "Totals")
 
 
 class TestMain:
     def test_renders_file(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(sample_snapshot()))
-        assert main([str(path)]) == 0
-        assert "Phase breakdown" in capsys.readouterr().out
+        assert main(["report", "--metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "## Phase seconds (metrics)" in out
+        assert "## Projection states per DFS depth" in out
 
-    def test_usage_errors(self, capsys):
-        assert main([]) == 2
-        assert main(["--help"]) == 2
-        assert main(["a", "b"]) == 2
-        assert "usage:" in capsys.readouterr().err
+    def test_usage_errors(self, tmp_path, capsys):
+        assert main(["report"]) == 2
+        assert "at least one of" in capsys.readouterr().err
+        assert main(["report", "--metrics", str(tmp_path / "nope")]) == 2
+        assert "error:" in capsys.readouterr().err
