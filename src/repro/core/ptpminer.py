@@ -269,7 +269,7 @@ class PTPMiner:
         with obs_trace.span(
             "mine", miner="P-TPMiner", mode=self.mode, sequences=len(db)
         ):
-            _, encoded, pairs = self._prepare(
+            encoded, pairs = self._prepare(
                 db, weights, threshold, counters
             )
             with obs_trace.span("search"):
@@ -321,32 +321,37 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
         counters: PruneCounters,
-        *,
-        point_prune: bool = True,
-    ) -> tuple[ESequenceDatabase, EncodedDatabase, Optional[PairTables]]:
-        """Shared pre-search pipeline: point prune, encode, pair tables.
+    ) -> tuple[EncodedDatabase, Optional[PairTables]]:
+        """Shared pre-search pipeline: point prune, encode, pair tables."""
+        encoded = self._encode(db, weights, threshold, counters)
+        return encoded, self._pair_tables(encoded, weights)
 
-        Returns the (possibly point-pruned) mining database alongside
-        its encoding so :meth:`plan_root` can hand the pruned database
-        to shard workers, which re-encode it locally with
-        ``point_prune=False`` (the parent already pruned, and already
-        accounted the pruning in its counters).
-        """
+    def _encode(
+        self,
+        db: ESequenceDatabase,
+        weights: Sequence[float],
+        threshold: float,
+        counters: PruneCounters,
+    ) -> EncodedDatabase:
+        """Point prune (accounted in ``counters``), then encode."""
         db.require_mode(self.mode)
         mining_db = db
-        if point_prune and self.pruning.point:
+        if self.pruning.point:
             with obs_trace.span("prune", technique="point"):
                 mining_db = self._point_prune(
                     db, weights, threshold, counters
                 )
         with obs_trace.span("encode"):
-            encoded = EncodedDatabase(mining_db)
-        if self.pruning.pair:
-            with obs_trace.span("pair_tables"):
-                pairs: Optional[PairTables] = PairTables(encoded, weights)
-        else:
-            pairs = None
-        return mining_db, encoded, pairs
+            return EncodedDatabase(mining_db)
+
+    def _pair_tables(
+        self, encoded: EncodedDatabase, weights: Sequence[float]
+    ) -> Optional[PairTables]:
+        """The pair-pruning tables, or ``None`` when pair pruning is off."""
+        if not self.pruning.pair:
+            return None
+        with obs_trace.span("pair_tables"):
+            return PairTables(encoded, weights)
 
     # ------------------------------------------------------------------
     # sharded execution hooks (used by repro.engine)
@@ -356,15 +361,21 @@ class PTPMiner:
         db: ESequenceDatabase,
         weights: Sequence[float],
         threshold: float,
-    ) -> tuple[ESequenceDatabase, PruneCounters, RootCandidates]:
+    ) -> tuple[EncodedDatabase, PruneCounters, RootCandidates]:
         """Run the root of the search once: the parent half of sharding.
 
-        Validates inputs, applies point pruning, and gathers the level-1
-        (root) candidate extensions with full root-node accounting. The
-        returned pruned database and candidate map are what
-        :mod:`repro.engine` partitions into :class:`ShardTask`s; the
-        returned counters are the parent's share of the final merged
+        Validates inputs, applies point pruning, encodes the pruned
+        database, and gathers the level-1 (root) candidate extensions
+        with full root-node accounting. The returned encoded database
+        is what every shard worker searches (:mod:`repro.engine` hands
+        it over once per worker) and the candidate map is what the
+        engine partitions into :class:`ShardTask`s; the returned
+        counters are the parent's share of the final merged
         :class:`~repro.core.pruning.PruneCounters`.
+
+        No pair tables are built here: pair pruning only applies to a
+        non-empty prefix, so the root gather never reads them. Workers
+        build them (see :meth:`search_shard`).
 
         The candidate map may be empty — when the root postfix branch
         bound already proves no pattern can be frequent — in which case
@@ -372,52 +383,45 @@ class PTPMiner:
         """
         self._validate_weighted(db, weights, threshold)
         counters = PruneCounters()
-        mining_db, encoded, pairs = self._prepare(
-            db, weights, threshold, counters
-        )
+        encoded = self._encode(db, weights, threshold, counters)
         gathered: list[RootCandidates] = []
         with obs_trace.span("plan_root"):
             self._search(
                 encoded,
                 weights,
                 [float(threshold)],
-                pairs,
+                None,
                 counters,
                 root_gather_out=gathered,
             )
-        return mining_db, counters, gathered[0] if gathered else {}
+        return encoded, counters, gathered[0] if gathered else {}
 
     def search_shard(
         self,
-        mining_db: ESequenceDatabase,
+        encoded: EncodedDatabase,
         weights: Sequence[float],
         threshold: float,
         candidates: RootCandidates,
     ) -> tuple[list[PatternWithSupport], PruneCounters]:
         """Expand a shard of root candidates: the worker half of sharding.
 
-        ``mining_db`` must be the (already point-pruned) database
-        returned by :meth:`plan_root` and ``candidates`` a subset of its
-        root candidate map. Re-encodes and rebuilds the pair tables
-        locally, skips point pruning and root-node accounting — both
-        already accounted by the parent — and returns this shard's
-        unsorted patterns plus its share of the counters.
+        ``encoded`` must be the encoded database returned by
+        :meth:`plan_root` and ``candidates`` a subset of its root
+        candidate map. The search only reads ``encoded``. Skips point
+        pruning, encoding and root-node accounting — all done once by
+        the parent — and returns this shard's unsorted patterns plus
+        its share of the counters.
 
-        The local re-encode is not cheap: every worker repeats encoding
-        and pair tables, which with loading take about a fifth of a
-        serial mine of scalebench's sparse-wide on a 2-vCPU box. That is
-        why ``mine_sharded(workers=2)`` is no faster than :meth:`mine`
-        there (see ``scalebench/README.md``). Building the prepared
-        state once and handing it to workers is ROADMAP item 2.
+        The pair tables are built here, once per call, when pair
+        pruning is on: the parent's root gather never reads them, and
+        workers build them in parallel instead of having them shipped.
 
         Live shard telemetry (:mod:`repro.obs.live`) needs no hook
         here: the worker's live sink subscribes to the search's
         ``root_done`` event.
         """
         counters = PruneCounters()
-        _, encoded, pairs = self._prepare(
-            mining_db, weights, threshold, counters, point_prune=False
-        )
+        pairs = self._pair_tables(encoded, weights)
         with obs_trace.span("search", shard_candidates=len(candidates)):
             patterns = self._search(
                 encoded,
@@ -473,7 +477,7 @@ class PTPMiner:
         with obs_trace.span(
             "mine", miner="P-TPMiner(top-k)", mode=self.mode, k=k
         ):
-            _, encoded, pairs = self._prepare(
+            encoded, pairs = self._prepare(
                 db, weights, threshold_box[0], counters
             )
             with obs_trace.span("search"):
@@ -618,9 +622,9 @@ class PTPMiner:
         )
         prov = obs_provenance.active_collector()
         if prov is not None:
-            # Point pruning runs once, in the parent (shard workers are
-            # handed the already-pruned database), so these records are
-            # never duplicated across shard snapshots.
+            # Point pruning runs once, in the parent (shard workers
+            # search its encoding of the pruned database), so these
+            # records are never duplicated across shard snapshots.
             for label in sorted(set(interval_df) - keep_interval):
                 prov.record_pruned_label(
                     label, "interval", interval_df[label], threshold
@@ -904,9 +908,12 @@ class PTPMiner:
                 seq_pointsets = seq.pointsets
                 new_states: list[State] = []
                 for st in proj_map[sid]:
-                    pending_by_socc = {
-                        (l, socc): p for l, p, socc in st.pending
-                    }
+                    if kind == FINISH:
+                        # A finish can only close the sequence occurrence
+                        # this state bound to pattern occurrence pocc.
+                        bound = st.pending_socc(lab, pocc)
+                        if bound is None:
+                            continue
                     if ext == _I_EXT:
                         positions = (st.pos,) if st.pos >= 0 else ()
                         limit = None
@@ -937,7 +944,7 @@ class PTPMiner:
                             if s2 != sym:
                                 continue
                             if kind == FINISH:
-                                if pending_by_socc.get((lab, socc)) != pocc:
+                                if socc != bound:
                                     continue
                                 pending = st.pending - {(lab, pocc, socc)}
                                 used = st.used

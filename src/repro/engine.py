@@ -3,11 +3,12 @@
 The engine parallelizes P-TPMiner by sharding its **level-1 fan-out**:
 the parent process runs the root of the search exactly once
 (:meth:`~repro.core.ptpminer.PTPMiner.plan_root` — validation, point
-pruning, encoding, pair tables, and the root candidate gather with full
-root-node accounting), partitions the root candidates into serializable
-:class:`ShardTask`s, and hands each shard to a worker that expands only
-its candidates' subtrees
-(:meth:`~repro.core.ptpminer.PTPMiner.search_shard`). Per-shard
+pruning, encoding, and the root candidate gather with full root-node
+accounting), partitions the root candidates into serializable
+:class:`ShardTask`s, and hands each shard to a worker that builds the
+pair tables and expands only its candidates' subtrees
+(:meth:`~repro.core.ptpminer.PTPMiner.search_shard`). Workers search
+the parent's encoded database; they never prune or encode. Per-shard
 patterns, :class:`~repro.core.pruning.PruneCounters`, and observability
 data are then merged into a single :class:`~repro.core.ptpminer.MiningResult`.
 
@@ -29,9 +30,12 @@ Executors
     debugging surface: pure Python stack traces, no pickling).
 ``process``
     Runs shards on a :class:`concurrent.futures.ProcessPoolExecutor`.
-    The database is shipped once per worker via the pool initializer;
-    tasks themselves stay small. This module is the **only** place in
-    the repository allowed to construct a process pool (lint rule R008).
+    The parent's encoded database is handed over once per worker via
+    the pool initializer: under the ``fork`` start method workers
+    inherit it without pickling, under ``spawn``/``forkserver`` it is
+    pickled once per worker. Tasks themselves stay small. This module
+    is the **only** place in the repository allowed to construct a
+    process pool (lint rule R008).
 
 Observability merge semantics
 -----------------------------
@@ -127,10 +131,10 @@ _TaskCandidate = tuple[tuple[int, int, int], tuple[float, tuple[int, ...]]]
 class ShardTask:
     """One worker's slice of the level-1 fan-out. Frozen and picklable.
 
-    The database itself is *not* part of the task — it is shipped once
-    per worker process through the pool initializer; tasks carry only
-    the shard's root candidates plus enough configuration to rebuild the
-    miner identically.
+    The encoded database is *not* part of the task — it is handed over
+    once per worker process through the pool initializer; tasks carry
+    only the shard's root candidates plus enough configuration to
+    rebuild the miner identically.
     """
 
     shard: int
@@ -226,13 +230,13 @@ _WORKER_PAYLOAD: dict[str, Any] = {}
 
 
 def _init_worker(
-    db: ESequenceDatabase,
+    encoded: EncodedDatabase,
     weights: Sequence[float],
     collectors: frozenset[str],
     live_queue: Optional[Any] = None,
     live_interval: float = 0.5,
 ) -> None:
-    """Pool initializer: receive the database once, silence inherited obs.
+    """Pool initializer: receive the encoded database once, silence obs.
 
     A forked child inherits the parent's installed collectors; writing
     to those copies would be lost at best and interleave with the
@@ -245,7 +249,7 @@ def _init_worker(
     """
     obs.silence()
     _init_payload_inline(
-        db,
+        encoded,
         weights,
         collectors,
         live_publish=None if live_queue is None else live_queue.put,
@@ -254,7 +258,7 @@ def _init_worker(
 
 
 def _init_payload_inline(
-    db: ESequenceDatabase,
+    encoded: EncodedDatabase,
     weights: Sequence[float],
     collectors: frozenset[str],
     *,
@@ -266,7 +270,7 @@ def _init_payload_inline(
     The serial executor calls this directly: same process, so
     ``live_publish`` feeds frames straight to the parent aggregator.
     """
-    _WORKER_PAYLOAD["db"] = db
+    _WORKER_PAYLOAD["encoded"] = encoded
     _WORKER_PAYLOAD["weights"] = list(weights)
     _WORKER_PAYLOAD["collectors"] = collectors
     _WORKER_PAYLOAD["live_publish"] = live_publish
@@ -300,7 +304,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
                 obs_live.use_live(obs_live.LiveCollector(sink=sink))
             )
         patterns, counters = miner.search_shard(
-            _WORKER_PAYLOAD["db"],
+            _WORKER_PAYLOAD["encoded"],
             _WORKER_PAYLOAD["weights"],
             task.threshold,
             task.candidate_map(),
@@ -319,7 +323,7 @@ def _run_serial(tasks: list[ShardTask]) -> list[ShardResult]:
 
 def _run_process(
     tasks: list[ShardTask],
-    db: ESequenceDatabase,
+    encoded: EncodedDatabase,
     weights: Sequence[float],
     workers: int,
     collectors: frozenset[str],
@@ -327,7 +331,7 @@ def _run_process(
     live_interval: float = 0.5,
     on_frame: Optional[Callable[[dict[str, Any]], None]] = None,
 ) -> list[ShardResult]:
-    """Run shards on a process pool, shipping the database once per worker.
+    """Run shards on a process pool, handing ``encoded`` to each worker once.
 
     One future per task. In live mode (``live_queue`` + ``on_frame``
     given) the parent drains heartbeat frames off the queue *while*
@@ -339,7 +343,7 @@ def _run_process(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(tasks)),
         initializer=_init_worker,
-        initargs=(db, weights, collectors, live_queue, live_interval),
+        initargs=(encoded, weights, collectors, live_queue, live_interval),
     ) as pool:
         futures = [pool.submit(_run_shard, task) for task in tasks]
         if live_queue is not None and on_frame is not None:
@@ -370,15 +374,14 @@ def _run_process(
                 or future.exception() is not None
             ]
             raise ShardCrashError(
-                _root_tokens(db, unfinished)
+                _root_tokens(encoded, unfinished)
             ) from exc
 
 
 def _root_tokens(
-    db: ESequenceDatabase, tasks: Sequence[ShardTask]
+    encoded: EncodedDatabase, tasks: Sequence[ShardTask]
 ) -> dict[int, list[str]]:
     """Each task's shard id mapped to its root candidates' token text."""
-    encoded = EncodedDatabase(db)
     return {
         task.shard: [
             str(encoded.decode_token((sym, pocc)))
@@ -469,7 +472,7 @@ def mine_sharded(
         workers=workers,
         executor=resolved,
     ):
-        mining_db, counters, root = miner.plan_root(db, weights, threshold)
+        encoded, counters, root = miner.plan_root(db, weights, threshold)
         tasks = plan_shards(root, config, threshold, workers)
         aggregator: Optional[obs_live.LiveAggregator] = None
         on_frame: Optional[Callable[[dict[str, Any]], None]] = None
@@ -500,7 +503,7 @@ def mine_sharded(
                 elif resolved == "serial":
                     # In-process: point the payload at this run's data.
                     _init_payload_inline(
-                        mining_db,
+                        encoded,
                         weights,
                         collectors,
                         live_publish=on_frame,
@@ -508,7 +511,7 @@ def mine_sharded(
                     )
                     try:
                         shard_results = _run_serial(tasks)
-                    finally:  # don't keep the database alive
+                    finally:  # don't keep the encoded database alive
                         _WORKER_PAYLOAD.clear()
                 else:
                     live_queue: Optional[Any] = None
@@ -519,7 +522,7 @@ def mine_sharded(
                         live_queue = manager.Queue()
                     shard_results = _run_process(
                         tasks,
-                        mining_db,
+                        encoded,
                         weights,
                         workers,
                         collectors,
@@ -527,6 +530,9 @@ def mine_sharded(
                         live_interval=live_interval,
                         on_frame=on_frame,
                     )
+            # The merge never reads the encoded database: free it before
+            # the shard snapshots are folded in, where the parent peaks.
+            del encoded
             with obs_trace.span("merge", shards=len(shard_results)):
                 patterns: list[PatternWithSupport] = []
                 for result in sorted(shard_results, key=lambda r: r.shard):

@@ -9,10 +9,16 @@ to make that guarantee hold across process boundaries.
 
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import MinerConfig
 from repro.core.ptpminer import PTPMiner, mine
 from repro.datagen import standard_dataset
@@ -24,6 +30,7 @@ from repro.engine import (
     plan_shards,
 )
 from repro.model.database import ESequenceDatabase
+from repro.model.pattern import PatternWithSupport
 from repro.obs import costmodel as obs_costmodel
 from repro.obs import live as obs_live
 from repro.obs import provenance as obs_provenance
@@ -184,6 +191,109 @@ class TestPickling:
         assert result.patterns  # the test is vacuous otherwise
         for item in result.patterns:
             assert pickle.loads(pickle.dumps(item)) == item
+
+
+class TestPrepareOnce:
+    """The parent prunes and encodes once; each shard builds pair tables."""
+
+    @staticmethod
+    def prepare_spans(run):
+        """``run()``'s result and its count of each prepare span."""
+        collector = obs_trace.TraceCollector()
+        with obs_trace.use_tracer(collector):
+            result = run()
+        names = collector.span_names()
+        return result, {
+            name: names.count(name)
+            for name in ("prune", "encode", "pair_tables")
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_one_encode_and_pair_tables_per_shard(
+        self, tiny_db, workers, executor
+    ):
+        config = MinerConfig(min_sup=0.3)
+        result, spans = self.prepare_spans(
+            lambda: mine_sharded(
+                tiny_db, config, workers=workers, executor=executor
+            )
+        )
+        shards = result.params["shards"]
+        assert shards == workers
+        assert spans == {"prune": 1, "encode": 1, "pair_tables": shards}
+
+    def test_single_worker_prepares_like_mine(self, tiny_db):
+        config = MinerConfig(min_sup=0.3)
+        _, serial = self.prepare_spans(
+            lambda: PTPMiner.from_config(config).mine(tiny_db)
+        )
+        _, sharded = self.prepare_spans(
+            lambda: mine_sharded(tiny_db, config, workers=1)
+        )
+        assert sharded == serial == {
+            "prune": 1,
+            "encode": 1,
+            "pair_tables": 1,
+        }
+
+
+class TestPickledHandoff:
+    """Workers that cannot fork receive the encoded database pickled."""
+
+    def test_encoded_database_round_trips_into_search_shard(self, hybrid_db):
+        config = MinerConfig(min_sup=0.2, mode="htp")
+        miner = PTPMiner.from_config(config)
+        serial = miner.mine(hybrid_db)
+        threshold = float(hybrid_db.absolute_support(config.min_sup))
+        weights = [1.0] * len(hybrid_db)
+        encoded, counters, root = miner.plan_root(
+            hybrid_db, weights, threshold
+        )
+        clone = pickle.loads(pickle.dumps(encoded))
+        patterns, shard_counters = miner.search_shard(
+            clone, weights, threshold, root
+        )
+        counters.merge(shard_counters)
+        patterns.sort(key=PatternWithSupport.sort_key)
+        assert patterns == serial.patterns
+        assert counters == serial.counters
+
+    def test_forkserver_workers_match_mine(self):
+        script = textwrap.dedent(
+            """
+            import multiprocessing
+
+            from repro.core.config import MinerConfig
+            from repro.core.ptpminer import PTPMiner
+            from repro.datagen import standard_dataset
+            from repro.engine import mine_sharded
+
+            multiprocessing.set_start_method("forkserver")
+            db = standard_dataset("hybrid", num_sequences=40)
+            config = MinerConfig(min_sup=0.2, mode="htp")
+            serial = PTPMiner.from_config(config).mine(db)
+            sharded = mine_sharded(db, config, workers=2, executor="process")
+            assert sharded.params["shards"] == 2, sharded.params
+            assert sharded.patterns == serial.patterns
+            assert sharded.counters == serial.counters
+            print(len(serial.patterns))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert int(completed.stdout) > 0
 
 
 class TestObsMerge:

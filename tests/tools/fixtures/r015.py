@@ -17,7 +17,7 @@ class PTPMiner:
         return db
 
     def search_shard(
-        self, mining_db: dict, weights: dict, candidates: list
+        self, encoded: dict, weights: dict, candidates: list
     ) -> list:
         """Pure itself, but leaks ``candidates`` to an impure callee."""
         self._drain(candidates)

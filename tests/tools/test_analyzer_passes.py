@@ -96,6 +96,49 @@ class TestFixtures:
         assert lint_paths([FIXTURE_DIR]) == []
 
 
+class TestStaleCacheConsumers:
+    """R015 fails closed when its declared consumers drift from the code."""
+
+    def r015(self, path: str, source: str) -> list:
+        return [
+            v
+            for v in deep_findings(path, textwrap.dedent(source))
+            if v.code == "R015"
+        ]
+
+    def test_renamed_protected_parameter_is_reported(self):
+        found = self.r015(
+            "src/repro/core/ptpminer.py",
+            """
+            class PTPMiner:
+                def plan_root(self, db, weights, threshold):
+                    return db
+
+                def search_shard(self, mining_db, weights, threshold, candidates):
+                    return candidates
+            """,
+        )
+        assert [(v.line, "'encoded'" in v.message) for v in found] == [
+            (6, True)
+        ]
+
+    def test_missing_consumer_is_reported_at_its_module(self):
+        found = self.r015(
+            "src/repro/core/ptpminer.py",
+            """
+            class PTPMiner:
+                def plan_root(self, db, weights, threshold):
+                    return db
+            """,
+        )
+        assert len(found) == 1
+        assert found[0].line == 1
+        assert "PTPMiner.search_shard() does not exist" in found[0].message
+
+    def test_consumers_outside_the_analyzed_modules_are_skipped(self):
+        assert self.r015("src/repro/core/demo15.py", "X = 1\n") == []
+
+
 class TestSuppressions:
     def parse_one(self, line: str):
         table = _parse_suppressions(line)

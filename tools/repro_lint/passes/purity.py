@@ -18,6 +18,12 @@ parameter through the call graph (strict resolution only) and flags
 Unresolvable calls receiving a protected parameter are *not* flagged
 (strict resolution prefers precision); the runtime bit-for-bit
 equivalence tests remain the backstop for those edges.
+
+The pass fails closed on its own configuration: a declared consumer
+that its module no longer defines, or a protected parameter the
+consumer no longer takes, is itself a finding. Otherwise a rename would
+silently leave the structure unprotected. A consumer whose module is
+not in the analyzed set is skipped.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ CACHE_CONSUMERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
     (
         "repro.core.ptpminer.PTPMiner.search_shard",
-        ("mining_db", "weights", "candidates"),
+        ("encoded", "weights", "candidates"),
     ),
     (
         "repro.engine._run_shard",
@@ -55,25 +61,24 @@ class PurityPass:
     rules = {
         "R015": (
             "plan-cached structure is mutated by an inferred-impure "
-            "consumer"
+            "consumer, or a declared consumer no longer exists"
         ),
     }
 
     def run(self, graph: ProjectGraph) -> list[Violation]:
         """Chase every protected parameter to a fixpoint."""
-        out: list[Violation] = []
+        out = self._stale_consumers(graph)
         worklist: list[tuple[str, str]] = [
             (qual, param)
             for qual, params in CACHE_CONSUMERS
             if qual in graph.functions
             for param in params
+            if param in graph.functions[qual].params
         ]
         seen: set[tuple[str, str]] = set(worklist)
         while worklist:
             qual, param = worklist.pop()
             fn = graph.functions[qual]
-            if param not in fn.params:
-                continue
             effects = effects_of(fn.node)
             for site in effects.mutated_params.get(param, []):
                 out.append(
@@ -93,6 +98,41 @@ class PurityPass:
                     seen.add(key)
                     worklist.append(key)
         out.sort(key=lambda v: (v.path, v.line, v.col))
+        return out
+
+    @staticmethod
+    def _stale_consumers(graph: ProjectGraph) -> list[Violation]:
+        """Declared consumers or parameters the analyzed code lacks."""
+        out: list[Violation] = []
+        for qual, params in CACHE_CONSUMERS:
+            fn = graph.functions.get(qual)
+            if fn is None:
+                module, head = None, qual
+                while module is None and "." in head:
+                    head = head.rsplit(".", 1)[0]
+                    module = graph.modules.get(head)
+                if module is not None:
+                    out.append(
+                        module.ctx.violation(
+                            module.ctx.tree,
+                            "R015",
+                            f"declared cache consumer {qual}() does not "
+                            "exist; update CACHE_CONSUMERS so the plan-"
+                            "cached structures stay protected",
+                        )
+                    )
+                continue
+            for param in params:
+                if param not in fn.params:
+                    out.append(
+                        fn.ctx.violation(
+                            fn.node,
+                            "R015",
+                            f"{fn.qualname}() has no protected parameter "
+                            f"{param!r}; update CACHE_CONSUMERS so the "
+                            "plan-cached structure stays protected",
+                        )
+                    )
         return out
 
     def _flows(
